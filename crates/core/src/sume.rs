@@ -819,7 +819,7 @@ impl<P: EventProgram> EventSwitch<P> {
                             let mut m = orig_meta;
                             m.rank = rank;
                             m.pkt_len = victim.len() as u32;
-                            let (ret2, ev2) = self.tm.offer(out, victim, m, now);
+                            let (ret2, ev2) = self.tm.offer_parsed(out, victim, None, m, now);
                             if ret2.is_none() {
                                 self.counters.trimmed += 1;
                                 if let edp_pisa::TmEvent::Enqueue {

@@ -24,14 +24,24 @@
 //! - **Heap traffic is cache-friendly** — sift operations move small
 //!   `Copy` keys instead of fat entries carrying a `Box` each.
 //!
+//! One-shot [`UNKEYED`] events scheduled at the current instant (the
+//! zero-delay "do this next" events: netsim's transmit kicks are most of
+//! them) skip the heap: they go to a FIFO *same-instant lane*. Lane keys
+//! are sorted by construction — each is `(now, UNKEYED, seq)` with `now`
+//! never decreasing and `seq` strictly increasing — so popping whichever
+//! of the heap head and the lane head is smaller under the same
+//! `(time, key, seq)` order fires exactly the schedule a heap-only queue
+//! would, at O(1) per lane event instead of a sift up and down.
+//!
 //! The slab invariant: every occupied slot has exactly one key in the
-//! heap, and a slot is only reclaimed when that key is popped. Handles
-//! ([`EventId`]) carry a generation counter so stale ids (already fired,
-//! already cancelled, or re-armed since) are rejected instead of
-//! corrupting an unrelated event that reused the slot.
+//! heap or the lane, and a slot is only reclaimed when that key is
+//! popped. Handles ([`EventId`]) carry a generation counter so stale ids
+//! (already fired, already cancelled, or re-armed since) are rejected
+//! instead of corrupting an unrelated event that reused the slot.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 /// Emits a scheduler trace record when a telemetry session is live and
 /// asked for scheduler detail. Disabled cost: one thread-local branch.
@@ -155,15 +165,14 @@ impl Ord for HeapKey {
     }
 }
 
-/// An 8-ary min-heap of [`HeapKey`]s.
+/// A 4-ary min-heap of [`HeapKey`]s.
 ///
-/// Versus `std::collections::BinaryHeap` this cuts the tree depth to a
-/// third, so a pop on a deep queue takes far fewer dependent cache misses;
-/// a node's children are consecutive 32-byte `Copy` keys (two cache
-/// lines), which the hardware prefetcher streams while the min-scan
-/// runs. Pushes in non-decreasing time order (the overwhelmingly common
-/// pattern in a forward-running simulation) stay O(1) as in any sift-up
-/// heap.
+/// Versus `std::collections::BinaryHeap` this halves the tree depth, so
+/// a pop on a deep queue takes far fewer dependent cache misses; a node's
+/// children are consecutive 32-byte `Copy` keys (two cache lines), which
+/// the hardware prefetcher streams while the min-scan runs. Pushes in
+/// non-decreasing time order (the overwhelmingly common pattern in a
+/// forward-running simulation) stay O(1) as in any sift-up heap.
 struct KeyHeap {
     keys: Vec<HeapKey>,
 }
@@ -285,12 +294,20 @@ const NO_FREE: u32 = u32::MAX;
 pub struct Sim<W> {
     now: SimTime,
     heap: KeyHeap,
+    /// The same-instant lane: keys of one-shot [`UNKEYED`] events armed at
+    /// `now`, in scheduling order (sorted by construction; see the module
+    /// docs).
+    lane: VecDeque<HeapKey>,
     slots: Vec<Slot<W>>,
     free_head: u32,
     /// Events currently armed (excludes cancelled-but-unpopped slots).
     live: usize,
     next_seq: u64,
     fired: u64,
+    /// The last popped key and `next_seq` at that pop, for the
+    /// pop-order assertion in [`Sim::step`].
+    #[cfg(debug_assertions)]
+    last_pop: Option<(HeapKey, u64)>,
 }
 
 impl<W> Default for Sim<W> {
@@ -305,11 +322,14 @@ impl<W> Sim<W> {
         Sim {
             now: SimTime::ZERO,
             heap: KeyHeap::new(),
+            lane: VecDeque::new(),
             slots: Vec::new(),
             free_head: NO_FREE,
             live: 0,
             next_seq: 0,
             fired: 0,
+            #[cfg(debug_assertions)]
+            last_pop: None,
         }
     }
 
@@ -454,12 +474,21 @@ impl<W> Sim<W> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.arm_slot(seq, class, SlotState::Once(f));
-        self.heap.push(HeapKey {
+        let heap_key = HeapKey {
             time: at,
             key,
             seq,
             slot,
-        });
+        };
+        if at == self.now && key == UNKEYED {
+            debug_assert!(
+                self.lane.back().is_none_or(|b| *b < heap_key),
+                "same-instant lane out of order"
+            );
+            self.lane.push_back(heap_key);
+        } else {
+            self.heap.push(heap_key);
+        }
         self.live += 1;
         sched_record(
             self.now.as_nanos(),
@@ -551,10 +580,52 @@ impl<W> Sim<W> {
         }
     }
 
+    /// True when the earliest pending key is the lane head, false when it
+    /// is the heap head; `None` when both are empty.
+    fn lane_is_next(&self) -> Option<bool> {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => Some(l < h),
+            (Some(_), None) => Some(true),
+            (None, Some(_)) => Some(false),
+            (None, None) => None,
+        }
+    }
+
+    /// The earliest pending key (live or cancelled), without removing it.
+    fn peek_key(&self) -> Option<HeapKey> {
+        if self.lane_is_next()? {
+            self.lane.front().copied()
+        } else {
+            self.heap.peek().copied()
+        }
+    }
+
+    /// Removes and returns the earliest pending key (live or cancelled).
+    fn pop_key(&mut self) -> Option<HeapKey> {
+        if self.lane_is_next()? {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop()
+        }
+    }
+
     /// Fires the single earliest pending event. Returns `false` when the
     /// queue is empty.
     pub fn step(&mut self, world: &mut W) -> bool {
-        while let Some(key) = self.heap.pop() {
+        while let Some(key) = self.pop_key() {
+            // Popped keys never decrease, except that an event armed after
+            // the previous pop (seq at or past that pop's watermark) may sort
+            // before it — a handler may arm a keyed event at its own instant.
+            #[cfg(debug_assertions)]
+            {
+                if let Some((last, watermark)) = self.last_pop {
+                    debug_assert!(
+                        key > last || key.seq >= watermark,
+                        "event queue popped out of order"
+                    );
+                }
+                self.last_pop = Some((key, self.next_seq));
+            }
             let slot = &mut self.slots[key.slot as usize];
             #[cfg(debug_assertions)]
             debug_assert_eq!(
@@ -643,13 +714,13 @@ impl<W> Sim<W> {
     /// nothing is pending.
     pub fn peek_next(&mut self) -> Option<SimTime> {
         loop {
-            match self.heap.peek() {
+            match self.peek_key() {
                 Some(key)
                     if matches!(self.slots[key.slot as usize].state, SlotState::Cancelled) =>
                 {
                     // Reclaim cancelled keys without firing them, so a
                     // cancelled event cannot mask the real next event time.
-                    let key = self.heap.pop().expect("peeked");
+                    let key = self.pop_key().expect("peeked");
                     self.free_slot(key.slot);
                 }
                 Some(key) => break Some(key.time),
@@ -663,14 +734,15 @@ impl<W> Sim<W> {
     /// every pending event is local (or nothing is pending) — the state
     /// in which a shard no longer constrains the global safe horizon.
     ///
-    /// A full scan of the heap's backing vector, not a pop: the effects
-    /// horizon calls this once per window barrier, where O(pending) is
-    /// noise next to the rendezvous it replaces; the hot firing path is
-    /// untouched.
+    /// A full scan of the heap's backing vector and the lane, not a pop:
+    /// the effects horizon calls this once per window barrier, where
+    /// O(pending) is noise next to the rendezvous it replaces; the hot
+    /// firing path is untouched.
     pub fn peek_next_bound(&self) -> Option<SimTime> {
         self.heap
             .keys
             .iter()
+            .chain(&self.lane)
             .filter(|k| {
                 let slot = &self.slots[k.slot as usize];
                 slot.class == EventClass::Bound && !matches!(slot.state, SlotState::Cancelled)

@@ -151,3 +151,360 @@ proptest! {
         prop_assert!((d.as_nanos() as f64) < exact_ns + 1.0);
     }
 }
+
+// ---------------------------------------------------------------------
+// Firing order against a reference model
+// ---------------------------------------------------------------------
+
+use edp_evsim::{EventClass, EventId, Periodic, UNKEYED};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::rc::Rc;
+
+/// A scripted one-shot event: when it fires it logs its tag, arms its
+/// children `delay` after the current instant, and may cancel one
+/// top-level event.
+#[derive(Debug, Clone)]
+struct Ev {
+    tag: u32,
+    delay: u64,
+    key: Option<u64>,
+    local: bool,
+    cancel: Option<usize>,
+    children: Vec<Ev>,
+}
+
+/// A top-level item armed before the run starts.
+#[derive(Debug, Clone)]
+enum Top {
+    Once(Ev),
+    /// Ticks `ticks` times every `period` from `start`, arming `child`
+    /// (if any) on every tick.
+    Periodic {
+        tag: u32,
+        start: u64,
+        period: u64,
+        ticks: u32,
+        child: Option<Ev>,
+    },
+}
+
+/// One driver call between comparisons.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    Step,
+    RunBefore(u64),
+    RunUntil(u64),
+}
+
+/// Log tag for a cancel's return value, beside the event tags.
+const CANCEL_TRUE: u32 = u32::MAX;
+const CANCEL_FALSE: u32 = u32::MAX - 1;
+
+fn class_of(local: bool) -> EventClass {
+    if local {
+        EventClass::Local
+    } else {
+        EventClass::Bound
+    }
+}
+
+#[derive(Default)]
+struct SimWorld {
+    log: Vec<(u64, u32)>,
+    ids: Vec<Option<EventId>>,
+}
+
+fn sim_arm(s: &mut Sim<SimWorld>, ev: Rc<Ev>) -> EventId {
+    let at = s.now() + SimDuration::from_nanos(ev.delay);
+    let key = ev.key.unwrap_or(UNKEYED);
+    s.schedule_classed_at(
+        at,
+        key,
+        class_of(ev.local),
+        move |w: &mut SimWorld, s: &mut Sim<SimWorld>| sim_fire(w, s, &ev),
+    )
+}
+
+fn sim_fire(w: &mut SimWorld, s: &mut Sim<SimWorld>, ev: &Ev) {
+    let now = s.now().as_nanos();
+    w.log.push((now, ev.tag));
+    for c in &ev.children {
+        sim_arm(s, Rc::new(c.clone()));
+    }
+    if let Some(i) = ev.cancel {
+        let ok = w.ids[i % w.ids.len()].is_some_and(|id| s.cancel(id));
+        w.log
+            .push((now, if ok { CANCEL_TRUE } else { CANCEL_FALSE }));
+    }
+}
+
+/// What a model entry does when it fires.
+#[derive(Clone)]
+enum Action {
+    Once(Ev),
+    Tick {
+        tag: u32,
+        period: u64,
+        left: u32,
+        child: Option<Ev>,
+    },
+}
+
+/// The reference: a plain `BinaryHeap<Reverse<(time, key, seq)>>` with
+/// lazily reclaimed cancels, mirroring `Sim`'s documented semantics.
+#[derive(Default)]
+struct Model {
+    now: u64,
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    /// seq -> (action, certified local, cancelled)
+    entries: HashMap<u64, (Action, bool, bool)>,
+    next_seq: u64,
+    live: usize,
+    ids: Vec<Option<u64>>,
+    log: Vec<(u64, u32)>,
+}
+
+impl Model {
+    fn arm(&mut self, at: u64, key: u64, local: bool, action: Action) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((at, key, seq)));
+        self.entries.insert(seq, (action, local, false));
+        self.live += 1;
+        seq
+    }
+
+    fn arm_ev(&mut self, ev: &Ev) -> u64 {
+        let at = self.now + ev.delay;
+        self.arm(
+            at,
+            ev.key.unwrap_or(UNKEYED),
+            ev.local,
+            Action::Once(ev.clone()),
+        )
+    }
+
+    fn cancel(&mut self, seq: u64) -> bool {
+        match self.entries.get_mut(&seq) {
+            Some(e) if !e.2 => {
+                e.2 = true;
+                self.live -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn next_time(&self, bound_only: bool) -> Option<u64> {
+        self.heap
+            .iter()
+            .filter(|Reverse((_, _, seq))| {
+                let (_, local, cancelled) = &self.entries[seq];
+                !(*cancelled || (bound_only && *local))
+            })
+            .map(|Reverse((t, _, _))| *t)
+            .min()
+    }
+
+    fn step(&mut self) -> bool {
+        while let Some(Reverse((t, _, seq))) = self.heap.pop() {
+            let (action, _, cancelled) = self.entries.remove(&seq).expect("entry");
+            if cancelled {
+                continue;
+            }
+            self.live -= 1;
+            self.now = t;
+            match action {
+                Action::Once(ev) => {
+                    self.log.push((t, ev.tag));
+                    for c in &ev.children {
+                        self.arm_ev(c);
+                    }
+                    if let Some(i) = ev.cancel {
+                        let target = self.ids[i % self.ids.len()];
+                        let ok = target.is_some_and(|s| self.cancel(s));
+                        self.log
+                            .push((t, if ok { CANCEL_TRUE } else { CANCEL_FALSE }));
+                    }
+                }
+                Action::Tick {
+                    tag,
+                    period,
+                    left,
+                    child,
+                } => {
+                    self.log.push((t, tag));
+                    if let Some(c) = &child {
+                        self.arm_ev(c);
+                    }
+                    if left > 1 {
+                        let next = Action::Tick {
+                            tag,
+                            period,
+                            left: left - 1,
+                            child,
+                        };
+                        self.arm(t + period, UNKEYED, false, next);
+                    }
+                }
+            }
+            return true;
+        }
+        false
+    }
+}
+
+/// Everything observable about `sim` equals the reference's view.
+fn check_against_model(sim: &mut Sim<SimWorld>, world: &SimWorld, model: &Model) {
+    assert_eq!(world.log, model.log);
+    assert_eq!(sim.now().as_nanos(), model.now);
+    assert_eq!(sim.pending(), model.live);
+    let fired = model.log.iter().filter(|(_, t)| *t < CANCEL_FALSE).count();
+    assert_eq!(sim.events_fired() as usize, fired);
+    assert_eq!(
+        sim.peek_next_bound().map(|t| t.as_nanos()),
+        model.next_time(true)
+    );
+    assert_eq!(
+        sim.peek_next().map(|t| t.as_nanos()),
+        model.next_time(false)
+    );
+}
+
+fn leaf_ev() -> impl Strategy<Value = Ev> {
+    (
+        any::<u16>(),
+        // About 60% of the mix is zero-delay (same-instant) events.
+        (0u64..100).prop_map(|d| d.saturating_sub(60)),
+        prop_oneof![Just(None), (0u64..4).prop_map(Some)],
+        (0u8..10).prop_map(|x| x < 3),
+        (0u8..10, 0usize..16).prop_map(|(x, i)| (x < 2).then_some(i)),
+    )
+        .prop_map(|(tag, delay, key, local, cancel)| Ev {
+            tag: tag as u32,
+            delay,
+            key,
+            local,
+            cancel,
+            children: Vec::new(),
+        })
+}
+
+fn ev_with_children(children: impl Strategy<Value = Ev>) -> impl Strategy<Value = Ev> {
+    (leaf_ev(), prop::collection::vec(children, 0..3)).prop_map(|(mut ev, children)| {
+        ev.children = children;
+        ev
+    })
+}
+
+fn top_item() -> impl Strategy<Value = Top> {
+    let once = ev_with_children(ev_with_children(leaf_ev())).prop_map(Top::Once);
+    let periodic = (
+        any::<u16>(),
+        0u64..60,
+        1u64..30,
+        1u32..6,
+        any::<bool>(),
+        leaf_ev(),
+    )
+        .prop_map(
+            |(tag, start, period, ticks, has_child, child)| Top::Periodic {
+                tag: tag as u32,
+                start,
+                period,
+                ticks,
+                child: has_child.then_some(child),
+            },
+        );
+    (0u8..5, once, periodic)
+        .prop_map(|(pick, once, periodic)| if pick < 4 { once } else { periodic })
+}
+
+fn drive_op() -> impl Strategy<Value = Drive> {
+    (0u8..5, 0u64..30).prop_map(|(pick, dt)| match pick {
+        0..=2 => Drive::Step,
+        3 => Drive::RunBefore(dt),
+        _ => Drive::RunUntil(dt),
+    })
+}
+
+proptest! {
+    /// A random mix of zero-delay, delayed, keyed, certified-local and
+    /// periodic events, with cancels before and during the run and
+    /// handlers that arm events at their own instant, fires in exactly the
+    /// order of a reference binary heap over `(time, key, seq)`; and
+    /// `peek_next`, `peek_next_bound`, `pending`, `now`, `run_before` and
+    /// `run_until` agree with the reference after every driver call.
+    #[test]
+    fn firing_order_matches_reference_heap(
+        tops in prop::collection::vec(top_item(), 1..12),
+        setup_cancels in prop::collection::vec(0usize..16, 0..3),
+        drives in prop::collection::vec(drive_op(), 0..40),
+    ) {
+        let mut sim: Sim<SimWorld> = Sim::new();
+        let mut world = SimWorld::default();
+        let mut model = Model::default();
+        for top in &tops {
+            match top {
+                Top::Once(ev) => {
+                    world.ids.push(Some(sim_arm(&mut sim, Rc::new(ev.clone()))));
+                    let seq = model.arm_ev(ev);
+                    model.ids.push(Some(seq));
+                }
+                Top::Periodic { tag, start, period, ticks, child } => {
+                    let (tag, period, child_ev) = (*tag, *period, child.clone());
+                    let mut left = *ticks;
+                    let id = sim.schedule_periodic(
+                        SimTime::from_nanos(*start),
+                        SimDuration::from_nanos(period),
+                        move |w: &mut SimWorld, s: &mut Sim<SimWorld>| {
+                            w.log.push((s.now().as_nanos(), tag));
+                            if let Some(c) = &child_ev {
+                                sim_arm(s, Rc::new(c.clone()));
+                            }
+                            left -= 1;
+                            if left > 0 { Periodic::Continue } else { Periodic::Stop }
+                        },
+                    );
+                    world.ids.push(Some(id));
+                    let action = Action::Tick { tag, period, left: *ticks, child: child.clone() };
+                    let seq = model.arm(*start, UNKEYED, false, action);
+                    model.ids.push(Some(seq));
+                }
+            }
+        }
+        for &i in &setup_cancels {
+            let i = i % tops.len();
+            let ok = sim.cancel(world.ids[i].expect("armed"));
+            prop_assert_eq!(ok, model.cancel(model.ids[i].expect("armed")));
+        }
+        for &d in &drives {
+            match d {
+                Drive::Step => {
+                    prop_assert_eq!(sim.step(&mut world), model.step());
+                }
+                Drive::RunBefore(dt) => {
+                    let bound = model.now + dt;
+                    sim.run_before(&mut world, SimTime::from_nanos(bound));
+                    while model.next_time(false).is_some_and(|t| t < bound) {
+                        model.step();
+                    }
+                }
+                Drive::RunUntil(dt) => {
+                    let deadline = model.now + dt;
+                    sim.run_until(&mut world, SimTime::from_nanos(deadline));
+                    while model.next_time(false).is_some_and(|t| t <= deadline) {
+                        model.step();
+                    }
+                    model.now = model.now.max(deadline);
+                }
+            }
+            check_against_model(&mut sim, &world, &model);
+        }
+        sim.run(&mut world);
+        while model.step() {}
+        check_against_model(&mut sim, &world, &model);
+        prop_assert_eq!(sim.pending(), 0);
+    }
+}

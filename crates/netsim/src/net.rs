@@ -14,7 +14,7 @@ use edp_core::{CpNotification, EffectSummary};
 use edp_evsim::{EventClass, Sim, SimDuration, SimRng, SimTime, UNKEYED};
 use edp_packet::{Packet, PacketUid};
 use edp_pisa::PortId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// A node in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,6 +33,14 @@ struct NetLink {
     ends: [Endpoint; 2],
 }
 
+/// One row of the dense per-port table: the link a port attaches to (if
+/// any) and whether a transmit attempt is armed on it.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortSlot {
+    link: Option<(LinkId, Dir)>,
+    tx_armed: bool,
+}
+
 /// The simulated network.
 pub struct Network {
     /// Switches (baseline or event-driven), boxed behind the harness.
@@ -47,8 +55,14 @@ pub struct Network {
     /// [`install_effect_summary`](Self::install_effect_summary)); `None`
     /// means no proof — every event stays horizon-bound.
     effect_summaries: Vec<Option<EffectSummary>>,
-    port_links: HashMap<Endpoint, (LinkId, Dir)>,
-    tx_armed: HashSet<Endpoint>,
+    /// Dense per-port table, one [`PortSlot`] per switch port and per
+    /// host, indexed through `switch_ports` / `host_port` (see
+    /// [`Network::port_index`]).
+    ports: Vec<PortSlot>,
+    /// Each switch's `(first slot, port count)` in `ports`.
+    switch_ports: Vec<(usize, usize)>,
+    /// Each host's single slot in `ports`.
+    host_port: Vec<usize>,
     host_txq: Vec<VecDeque<Packet>>,
     send_times: HashMap<PacketUid, SimTime>,
     next_uid: u64,
@@ -79,8 +93,9 @@ impl Network {
             links: Vec::new(),
             stalled_until: Vec::new(),
             effect_summaries: Vec::new(),
-            port_links: HashMap::new(),
-            tx_armed: HashSet::new(),
+            ports: Vec::new(),
+            switch_ports: Vec::new(),
+            host_port: Vec::new(),
             host_txq: Vec::new(),
             send_times: HashMap::new(),
             next_uid: 1,
@@ -96,6 +111,10 @@ impl Network {
 
     /// Adds a switch; returns its index.
     pub fn add_switch(&mut self, sw: Box<dyn SwitchHarness>) -> usize {
+        let n_ports = sw.n_ports();
+        self.switch_ports.push((self.ports.len(), n_ports));
+        self.ports
+            .resize(self.ports.len() + n_ports, PortSlot::default());
         self.switches.push(sw);
         self.stalled_until.push(SimTime::ZERO);
         self.effect_summaries.push(None);
@@ -147,6 +166,8 @@ impl Network {
 
     /// Adds a host; returns its id.
     pub fn add_host(&mut self, host: Host) -> HostId {
+        self.host_port.push(self.ports.len());
+        self.ports.push(PortSlot::default());
         self.hosts.push(host);
         self.host_txq.push(VecDeque::new());
         self.hosts.len() - 1
@@ -160,14 +181,12 @@ impl Network {
         self.validate_endpoint(a);
         self.validate_endpoint(b);
         let id = self.links.len();
-        assert!(
-            self.port_links.insert(a, (id, Dir::AtoB)).is_none(),
-            "endpoint {a:?} already connected"
-        );
-        assert!(
-            self.port_links.insert(b, (id, Dir::BtoA)).is_none(),
-            "endpoint {b:?} already connected"
-        );
+        for (ep, dir) in [(a, Dir::AtoB), (b, Dir::BtoA)] {
+            let idx = self.port_index(ep).expect("validated endpoint");
+            let slot = &mut self.ports[idx];
+            assert!(slot.link.is_none(), "endpoint {ep:?} already connected");
+            slot.link = Some((id, dir));
+        }
         self.links.push(NetLink {
             state: LinkState::new(spec),
             ends: [a, b],
@@ -214,6 +233,16 @@ impl Network {
         }
     }
 
+    /// `ep`'s row in the dense port table; `None` when no such node or
+    /// port exists.
+    fn port_index(&self, (node, port): Endpoint) -> Option<usize> {
+        let (first, n_ports) = match node {
+            NodeRef::Switch(i) => *self.switch_ports.get(i)?,
+            NodeRef::Host(h) => (*self.host_port.get(h)?, 1),
+        };
+        ((port as usize) < n_ports).then_some(first + port as usize)
+    }
+
     fn validate_endpoint(&self, (node, port): Endpoint) {
         match node {
             NodeRef::Switch(i) => {
@@ -251,7 +280,7 @@ impl Network {
 
     /// Link utilization in `[0,1]` for the direction leaving `ep`.
     pub fn link_utilization(&self, ep: Endpoint, now: SimTime) -> f64 {
-        let Some(&(lid, dir)) = self.port_links.get(&ep) else {
+        let Some((lid, dir)) = self.port_index(ep).and_then(|i| self.ports[i].link) else {
             return 0.0;
         };
         self.links[lid].state.utilization(dir, now)
@@ -351,10 +380,12 @@ impl Network {
         if !self.owns_node(ep.0) {
             return;
         }
-        if self.tx_armed.contains(&ep) {
+        let idx = self.port_index(ep).expect("kick on a nonexistent endpoint");
+        let slot = &mut self.ports[idx];
+        if slot.tx_armed {
             return;
         }
-        self.tx_armed.insert(ep);
+        slot.tx_armed = true;
         sim.schedule_in(
             SimDuration::ZERO,
             move |w: &mut Network, s: &mut Sim<Network>| w.try_transmit(s, ep),
@@ -371,16 +402,19 @@ impl Network {
     }
 
     fn try_transmit(&mut self, sim: &mut Sim<Network>, ep: Endpoint) {
-        self.tx_armed.remove(&ep);
+        let idx = self
+            .port_index(ep)
+            .expect("transmit on a nonexistent endpoint");
+        self.ports[idx].tx_armed = false;
         let now = sim.now();
         let (node, port) = ep;
-        let link = self.port_links.get(&ep).copied();
+        let link = self.ports[idx].link;
         // A stalled switch's egress pipeline is frozen too: defer the
         // whole attempt until the stall lifts.
         if let NodeRef::Switch(i) = node {
             let until = self.stalled_until[i];
             if until > now {
-                self.tx_armed.insert(ep);
+                self.ports[idx].tx_armed = true;
                 sim.schedule_at(until, move |w: &mut Network, s: &mut Sim<Network>| {
                     w.try_transmit(s, ep)
                 });
@@ -391,7 +425,7 @@ impl Network {
         if let Some((lid, dir)) = link {
             let busy = self.links[lid].state.dirs[dir as usize].busy_until;
             if busy > now {
-                self.tx_armed.insert(ep);
+                self.ports[idx].tx_armed = true;
                 sim.schedule_at(busy, move |w: &mut Network, s: &mut Sim<Network>| {
                     w.try_transmit(s, ep)
                 });
@@ -1063,6 +1097,69 @@ mod tests {
         assert_eq!(reg.counter("link_frames", "net"), 2);
         assert_eq!(reg.counter("tracer_entries", "net"), 2);
         assert_eq!(reg.counter("tracer_dropped", "net"), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "already connected")]
+    fn double_connect_of_a_switch_port_panics() {
+        let (mut net, _h0, _h1) = line_topology();
+        let h2 = net.add_host(Host::new(a(3), HostApp::Sink));
+        net.connect(
+            (NodeRef::Switch(0), 1),
+            (NodeRef::Host(h2), 0),
+            LinkSpec::ten_gig(SimDuration::ZERO),
+        );
+    }
+
+    #[test]
+    fn link_utilization_of_unconnected_endpoint_is_zero() {
+        let mut net = Network::new(1);
+        let sw = net.add_switch(Box::new(BaselineSwitch::new(
+            ForwardTo(1),
+            2,
+            QueueConfig::default(),
+        )));
+        let h0 = net.add_host(Host::new(a(1), HostApp::Sink));
+        net.connect(
+            (NodeRef::Host(h0), 0),
+            (NodeRef::Switch(sw), 0),
+            LinkSpec::ten_gig(SimDuration::ZERO),
+        );
+        let t = SimTime::from_micros(1);
+        assert_eq!(net.link_utilization((NodeRef::Switch(sw), 1), t), 0.0);
+        assert_eq!(net.link_utilization((NodeRef::Switch(sw), 7), t), 0.0);
+        assert_eq!(net.link_utilization((NodeRef::Host(5), 0), t), 0.0);
+    }
+
+    #[test]
+    fn stalled_switch_keeps_one_deferred_transmit_per_port() {
+        let (mut net, _h0, h1) = line_topology();
+        let mut sim: Sim<Network> = Sim::new();
+        let ep = (NodeRef::Switch(0), 1);
+        let until = SimTime::from_micros(10);
+        let frame = PacketBuilder::udp(a(1), a(2), 5, 6, &[]).build();
+        net.switches[0].receive(SimTime::ZERO, 0, Packet::anonymous(frame));
+        net.stall_switch(&mut sim, 0, until);
+        for _ in 0..3 {
+            net.kick(&mut sim, ep);
+        }
+        // Stall release + one transmit attempt, however often it was kicked.
+        assert_eq!(sim.pending(), 2);
+        // The attempt finds the switch stalled and defers itself to the
+        // release, keeping the port armed: later kicks stay no-ops.
+        assert!(sim.step(&mut net));
+        assert_eq!(sim.now(), SimTime::ZERO);
+        let idx = net.port_index(ep).expect("switch port");
+        assert!(net.ports[idx].tx_armed);
+        net.kick(&mut sim, ep);
+        net.kick_switch_ports(&mut sim, 0);
+        assert_eq!(sim.pending(), 2);
+        sim.run(&mut net);
+        // Stall release (its kick is a no-op), the deferred attempt, and
+        // the delivery to h1: no duplicate transmit attempt ran.
+        assert_eq!(sim.events_fired(), 4);
+        assert_eq!(net.hosts[h1].stats.rx_pkts, 1);
+        assert!(!net.ports[idx].tx_armed);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::meta::{Destination, PortId, StdMeta};
 use crate::program::PisaProgram;
 use crate::tm::{QueueConfig, QueueStats, TrafficManager};
 use edp_evsim::SimTime;
-use edp_packet::{parse_packet, Packet};
+use edp_packet::{parse_packet, Packet, ParsedPacket};
 use edp_telemetry::{emit, DropReason, RecordKind};
 use serde::{Deserialize, Serialize};
 
@@ -141,9 +141,17 @@ impl<P: PisaProgram> BaselineSwitch<P> {
         } else {
             None
         };
-        match flow_hash.and_then(|h| self.cache.lookup(h)) {
-            Some(decision) => decision.apply(&mut meta),
+        // `still_parsed` is `parsed` for as long as it provably describes
+        // `pkt`'s current bytes (the program left the mutation count
+        // alone). It rides through the TM so egress skips its re-parse;
+        // parsing is pure, so the reuse is unobservable.
+        let still_parsed = match flow_hash.and_then(|h| self.cache.lookup(h)) {
+            Some(decision) => {
+                decision.apply(&mut meta);
+                Some(parsed)
+            }
             None => {
+                let muts_before = pkt.mutation_count();
                 self.program.ingress(&mut pkt, &parsed, &mut meta, now);
                 if let Some(h) = flow_hash {
                     self.cache.admit(h, &meta);
@@ -154,12 +162,13 @@ impl<P: PisaProgram> BaselineSwitch<P> {
                         },
                     );
                 }
+                (pkt.mutation_count() == muts_before).then_some(parsed)
             }
-        }
+        };
         match meta.dest {
             Destination::Port(out) => {
                 if (out as usize) < self.n_ports {
-                    self.enqueue(out, pkt, meta, now);
+                    self.enqueue(out, pkt, still_parsed, meta, now);
                 } else {
                     self.counters.dropped_by_program += 1;
                     emit(
@@ -175,7 +184,7 @@ impl<P: PisaProgram> BaselineSwitch<P> {
                 let ingress = meta.ingress_port;
                 for out in 0..self.n_ports as PortId {
                     if out != ingress {
-                        self.enqueue(out, pkt.clone(), meta, now);
+                        self.enqueue(out, pkt.clone(), still_parsed, meta, now);
                     }
                 }
             }
@@ -216,8 +225,15 @@ impl<P: PisaProgram> BaselineSwitch<P> {
         }
     }
 
-    fn enqueue(&mut self, out: PortId, pkt: Packet, meta: StdMeta, now: SimTime) {
-        let (returned, _event) = self.tm.offer(out, pkt, meta, now);
+    fn enqueue(
+        &mut self,
+        out: PortId,
+        pkt: Packet,
+        parsed: Option<ParsedPacket>,
+        meta: StdMeta,
+        now: SimTime,
+    ) {
+        let (returned, _event) = self.tm.offer_parsed(out, pkt, parsed, meta, now);
         // Baseline architecture: the TmEvent is dropped on the floor.
         if returned.is_some() {
             self.counters.dropped_overflow += 1;
@@ -235,20 +251,32 @@ impl<P: PisaProgram> BaselineSwitch<P> {
     /// Returns `None` when the queue is empty or the egress program
     /// dropped the frame.
     pub fn transmit(&mut self, now: SimTime, port: PortId) -> Option<Packet> {
-        let (mut pkt, mut meta, _event) = self.tm.dequeue(port, now).ok()?;
-        let parsed = match parse_packet(pkt.bytes()) {
-            Ok(p) => p,
-            Err(_) => {
-                self.counters.parse_errors += 1;
-                emit(
-                    now.as_nanos(),
-                    RecordKind::PacketDrop {
-                        switch: 0,
-                        reason: DropReason::ParseError,
-                    },
+        let (mut pkt, stashed, mut meta, _event) = self.tm.dequeue_parsed(port, now).ok()?;
+        let parsed = match stashed {
+            Some(p) => {
+                // The carry-through is sound only if the stash is exactly
+                // what a re-parse of the dequeued bytes would give.
+                debug_assert_eq!(
+                    Ok(p),
+                    parse_packet(pkt.bytes()),
+                    "stashed ingress parse does not match the dequeued frame"
                 );
-                return None;
+                p
             }
+            None => match parse_packet(pkt.bytes()) {
+                Ok(p) => p,
+                Err(_) => {
+                    self.counters.parse_errors += 1;
+                    emit(
+                        now.as_nanos(),
+                        RecordKind::PacketDrop {
+                            switch: 0,
+                            reason: DropReason::ParseError,
+                        },
+                    );
+                    return None;
+                }
+            },
         };
         self.program.egress(&mut pkt, &parsed, &mut meta, now);
         if meta.egress_drop {
@@ -308,7 +336,6 @@ mod tests {
     use super::*;
     use crate::program::ForwardTo;
     use edp_packet::PacketBuilder;
-    use edp_packet::ParsedPacket;
     use std::net::Ipv4Addr;
 
     fn frame() -> Packet {
@@ -602,6 +629,107 @@ mod tests {
             "post-update packets must see the new route, not the cached one"
         );
         assert!(!sw.has_pending(1));
+    }
+
+    /// Runs `ingress` on the way in and, at egress, records the headers
+    /// the switch handed over next to a fresh parse of the frame bytes
+    /// (after the optional TTL rewrite of the first egress pass).
+    struct ParseProbe {
+        ingress: fn(&mut Packet, &ParsedPacket, &mut StdMeta),
+        rewrite_first_egress: bool,
+        seen: Vec<(ParsedPacket, ParsedPacket)>,
+    }
+
+    impl ParseProbe {
+        fn new(ingress: fn(&mut Packet, &ParsedPacket, &mut StdMeta)) -> Self {
+            ParseProbe {
+                ingress,
+                rewrite_first_egress: false,
+                seen: Vec::new(),
+            }
+        }
+    }
+
+    impl PisaProgram for ParseProbe {
+        fn ingress(&mut self, p: &mut Packet, h: &ParsedPacket, m: &mut StdMeta, _n: SimTime) {
+            (self.ingress)(p, h, m);
+        }
+        fn egress(&mut self, p: &mut Packet, h: &ParsedPacket, _m: &mut StdMeta, _n: SimTime) {
+            self.seen
+                .push((*h, parse_packet(p.bytes()).expect("egress frame parses")));
+            if std::mem::take(&mut self.rewrite_first_egress) {
+                edp_packet::Ipv4Header::patch_ttl_decrement(p.bytes_mut(), h.ip_offset);
+            }
+        }
+    }
+
+    fn ttl(h: &ParsedPacket) -> u8 {
+        h.ipv4.expect("ipv4").ttl
+    }
+
+    #[test]
+    fn ingress_header_rewrite_is_reparsed_at_egress() {
+        let mut sw = BaselineSwitch::new(
+            ParseProbe::new(|p, h, m| {
+                edp_packet::Ipv4Header::patch_ttl_decrement(p.bytes_mut(), h.ip_offset);
+                m.dest = Destination::Port(1);
+            }),
+            2,
+            QueueConfig::default(),
+        );
+        sw.receive(SimTime::ZERO, 0, frame());
+        let out = sw.transmit(SimTime::ZERO, 1).expect("forwarded");
+        let (handed, reparsed) = sw.program.seen[0];
+        assert_eq!(handed, reparsed, "egress must see the rewritten header");
+        assert_eq!(ttl(&handed), 63);
+        assert_eq!(ttl(&parse_packet(out.bytes()).expect("parses")), 63);
+    }
+
+    #[test]
+    fn flood_copies_each_carry_a_matching_parse() {
+        let mut probe = ParseProbe::new(|_p, _h, m| m.dest = Destination::Flood);
+        // The first copy out is rewritten at egress; copy-on-write keeps
+        // the other copies' bytes, and so their carried parse, intact.
+        probe.rewrite_first_egress = true;
+        let mut sw = BaselineSwitch::new(probe, 4, QueueConfig::default());
+        sw.receive(SimTime::ZERO, 1, frame());
+        let outs: Vec<Packet> = [0, 2, 3]
+            .iter()
+            .map(|&port| sw.transmit(SimTime::ZERO, port).expect("flooded copy"))
+            .collect();
+        assert_eq!(sw.program.seen.len(), 3);
+        for (handed, reparsed) in &sw.program.seen {
+            assert_eq!(handed, reparsed);
+            assert_eq!(ttl(handed), 64);
+        }
+        let ttls: Vec<u8> = outs
+            .iter()
+            .map(|p| ttl(&parse_packet(p.bytes()).expect("parses")))
+            .collect();
+        assert_eq!(ttls, vec![63, 64, 64]);
+    }
+
+    #[test]
+    fn recirculated_rewrite_is_reparsed_at_egress() {
+        let mut sw = BaselineSwitch::new(
+            ParseProbe::new(|p, h, m| {
+                if m.recirc_count == 0 {
+                    edp_packet::Ipv4Header::patch_ttl_decrement(p.bytes_mut(), h.ip_offset);
+                    m.dest = Destination::Recirculate;
+                } else {
+                    assert_eq!(ttl(h), 63, "the second pass parses the rewritten frame");
+                    m.dest = Destination::Port(1);
+                }
+            }),
+            2,
+            QueueConfig::default(),
+        );
+        sw.receive(SimTime::ZERO, 0, frame());
+        assert!(sw.transmit(SimTime::ZERO, 1).is_some());
+        assert_eq!(sw.counters().recirculated, 1);
+        let (handed, reparsed) = sw.program.seen[0];
+        assert_eq!(handed, reparsed);
+        assert_eq!(ttl(&handed), 63);
     }
 
     #[test]

@@ -294,19 +294,9 @@ impl TrafficManager {
         self.queues.len()
     }
 
-    /// Dequeues the next packet from `port`, or an underflow record.
-    pub fn dequeue(
-        &mut self,
-        port: PortId,
-        now: SimTime,
-    ) -> Result<(Packet, StdMeta, TmEvent), TmEvent> {
-        self.dequeue_parsed(port, now)
-            .map(|(pkt, _parsed, meta, ev)| (pkt, meta, ev))
-    }
-
-    /// [`TrafficManager::dequeue`], additionally handing back the ingress
-    /// parse stashed by [`TrafficManager::offer_parsed`] (`None` when the
-    /// packet was offered without one).
+    /// Dequeues the next packet from `port`, or an underflow record. The
+    /// ingress parse stashed by [`TrafficManager::offer_parsed`] comes
+    /// back with it (`None` when the packet was offered without one).
     pub fn dequeue_parsed(
         &mut self,
         port: PortId,
@@ -364,20 +354,9 @@ impl TrafficManager {
 impl TrafficManager {
     /// Offers a packet; on overflow the packet is returned together with
     /// the [`TmEvent::Overflow`] record (callers may recycle it into a
-    /// drop-event handler or a mirror port).
-    pub fn offer(
-        &mut self,
-        port: PortId,
-        pkt: Packet,
-        meta: StdMeta,
-        now: SimTime,
-    ) -> (Option<Packet>, TmEvent) {
-        self.offer_parsed(port, pkt, None, meta, now)
-    }
-
-    /// [`TrafficManager::offer`], stashing the caller's ingress parse of
-    /// `pkt` alongside it for [`TrafficManager::dequeue_parsed`] to hand
-    /// back.
+    /// drop-event handler or a mirror port). `parsed`, the caller's
+    /// ingress parse of `pkt`, is stashed alongside it for
+    /// [`TrafficManager::dequeue_parsed`] to hand back.
     ///
     /// Contract: pass `Some` only when `parsed` is the parse of `pkt`'s
     /// *current* bytes (no mutation since parsing — provable with
@@ -448,7 +427,7 @@ mod tests {
     fn fifo_order_and_events() {
         let mut tm = TrafficManager::new(2, QueueConfig::default());
         let now = SimTime::from_nanos(10);
-        let (d, ev) = tm.offer(1, pkt(100), meta(0), now);
+        let (d, ev) = tm.offer_parsed(1, pkt(100), None, meta(0), now);
         assert!(d.is_none());
         assert!(matches!(
             ev,
@@ -460,11 +439,11 @@ mod tests {
                 ..
             }
         ));
-        tm.offer(1, pkt(200), meta(0), now);
+        tm.offer_parsed(1, pkt(200), None, meta(0), now);
         assert_eq!(tm.occupancy_bytes(1), 300);
 
         let later = SimTime::from_nanos(50);
-        let (p, _, ev) = tm.dequeue(1, later).expect("packet");
+        let (p, _, _, ev) = tm.dequeue_parsed(1, later).expect("packet");
         assert_eq!(p.len(), 100);
         assert!(matches!(
             ev,
@@ -484,8 +463,8 @@ mod tests {
             ..QueueConfig::default()
         };
         let mut tm = TrafficManager::new(1, cfg);
-        tm.offer(0, pkt(200), meta(0), SimTime::ZERO);
-        let (returned, ev) = tm.offer(0, pkt(100), meta(0), SimTime::ZERO);
+        tm.offer_parsed(0, pkt(200), None, meta(0), SimTime::ZERO);
+        let (returned, ev) = tm.offer_parsed(0, pkt(100), None, meta(0), SimTime::ZERO);
         assert!(returned.is_some());
         assert!(matches!(
             ev,
@@ -503,7 +482,7 @@ mod tests {
     fn underflow_event() {
         let mut tm = TrafficManager::new(1, QueueConfig::default());
         assert!(matches!(
-            tm.dequeue(0, SimTime::ZERO),
+            tm.dequeue_parsed(0, SimTime::ZERO),
             Err(TmEvent::Underflow { port: 0 })
         ));
     }
@@ -516,14 +495,14 @@ mod tests {
             ..QueueConfig::default()
         };
         let mut tm = TrafficManager::new(1, cfg);
-        tm.offer(0, pkt(10), meta(3), SimTime::ZERO);
-        tm.offer(0, pkt(20), meta(0), SimTime::ZERO);
-        tm.offer(0, pkt(30), meta(9), SimTime::ZERO); // clamps to class 3
-        let (p, _, _) = tm.dequeue(0, SimTime::ZERO).expect("p");
+        tm.offer_parsed(0, pkt(10), None, meta(3), SimTime::ZERO);
+        tm.offer_parsed(0, pkt(20), None, meta(0), SimTime::ZERO);
+        tm.offer_parsed(0, pkt(30), None, meta(9), SimTime::ZERO); // clamps to class 3
+        let (p, _, _, _) = tm.dequeue_parsed(0, SimTime::ZERO).expect("p");
         assert_eq!(p.len(), 20, "class 0 first");
-        let (p, _, _) = tm.dequeue(0, SimTime::ZERO).expect("p");
+        let (p, _, _, _) = tm.dequeue_parsed(0, SimTime::ZERO).expect("p");
         assert_eq!(p.len(), 10, "then class 3 FIFO");
-        let (p, _, _) = tm.dequeue(0, SimTime::ZERO).expect("p");
+        let (p, _, _, _) = tm.dequeue_parsed(0, SimTime::ZERO).expect("p");
         assert_eq!(p.len(), 30);
     }
 
@@ -535,12 +514,12 @@ mod tests {
             rank0_headroom: 0,
         };
         let mut tm = TrafficManager::new(1, cfg);
-        tm.offer(0, pkt(1), meta(50), SimTime::ZERO);
-        tm.offer(0, pkt(2), meta(10), SimTime::ZERO);
-        tm.offer(0, pkt(3), meta(50), SimTime::ZERO);
-        tm.offer(0, pkt(4), meta(30), SimTime::ZERO);
+        tm.offer_parsed(0, pkt(1), None, meta(50), SimTime::ZERO);
+        tm.offer_parsed(0, pkt(2), None, meta(10), SimTime::ZERO);
+        tm.offer_parsed(0, pkt(3), None, meta(50), SimTime::ZERO);
+        tm.offer_parsed(0, pkt(4), None, meta(30), SimTime::ZERO);
         let lens: Vec<usize> = (0..4)
-            .map(|_| tm.dequeue(0, SimTime::ZERO).expect("p").0.len())
+            .map(|_| tm.dequeue_parsed(0, SimTime::ZERO).expect("p").0.len())
             .collect();
         assert_eq!(lens, vec![2, 4, 1, 3]);
     }
@@ -550,7 +529,7 @@ mod tests {
         let mut tm = TrafficManager::new(1, QueueConfig::default());
         let mut m = meta(0);
         m.event_meta = [7, 1500, 0, 0];
-        let (_, ev) = tm.offer(0, pkt(64), m, SimTime::ZERO);
+        let (_, ev) = tm.offer_parsed(0, pkt(64), None, m, SimTime::ZERO);
         assert!(matches!(
             ev,
             TmEvent::Enqueue {
@@ -558,7 +537,7 @@ mod tests {
                 ..
             }
         ));
-        let (_, _, ev) = tm.dequeue(0, SimTime::ZERO).expect("p");
+        let (_, _, _, ev) = tm.dequeue_parsed(0, SimTime::ZERO).expect("p");
         assert!(matches!(
             ev,
             TmEvent::Dequeue {
@@ -572,9 +551,9 @@ mod tests {
     fn stats_track_counts() {
         let mut tm = TrafficManager::new(1, QueueConfig::default());
         for _ in 0..5 {
-            tm.offer(0, pkt(10), meta(0), SimTime::ZERO);
+            tm.offer_parsed(0, pkt(10), None, meta(0), SimTime::ZERO);
         }
-        tm.dequeue(0, SimTime::ZERO).ok();
+        tm.dequeue_parsed(0, SimTime::ZERO).ok();
         let s = tm.stats(0);
         assert_eq!(s.enqueued, 5);
         assert_eq!(s.dequeued, 1);

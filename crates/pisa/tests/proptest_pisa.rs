@@ -130,12 +130,12 @@ proptest! {
             if is_enqueue {
                 offered += 1;
                 let meta = StdMeta::ingress(0, SimTime::ZERO, len);
-                let (ret, _) = tm.offer(0, Packet::anonymous(vec![0; len]), meta, SimTime::ZERO);
+                let (ret, _) = tm.offer_parsed(0, Packet::anonymous(vec![0; len]), None, meta, SimTime::ZERO);
                 if ret.is_none() {
                     queued_bytes += len as u64;
                     queued_pkts += 1;
                 }
-            } else if let Ok((p, _, _)) = tm.dequeue(0, SimTime::ZERO) {
+            } else if let Ok((p, _, _, _)) = tm.dequeue_parsed(0, SimTime::ZERO) {
                 dequeued += 1;
                 queued_bytes -= p.len() as u64;
                 queued_pkts -= 1;
@@ -159,10 +159,10 @@ proptest! {
             let mut meta = StdMeta::ingress(0, SimTime::ZERO, 10);
             meta.rank = r;
             meta.event_meta = [i as u64, 0, 0, 0];
-            tm.offer(0, Packet::anonymous(vec![0; 10]), meta, SimTime::ZERO);
+            tm.offer_parsed(0, Packet::anonymous(vec![0; 10]), None, meta, SimTime::ZERO);
         }
         let mut out = Vec::new();
-        while let Ok((_, m, _)) = tm.dequeue(0, SimTime::ZERO) {
+        while let Ok((_, _, m, _)) = tm.dequeue_parsed(0, SimTime::ZERO) {
             out.push((m.rank, m.event_meta[0]));
         }
         let mut expect: Vec<(u64, u64)> = ranks.iter().enumerate().map(|(i, &r)| (r, i as u64)).collect();

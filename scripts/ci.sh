@@ -10,7 +10,7 @@
 #                               # profiled-run smoke (+ trace artifact),
 #                               # EDP_HORIZON=effects elision smoke,
 #                               # pcap fixture round-trip, replay smoke,
-#                               # bench gate
+#                               # perfbench outcome smoke, bench gate
 #
 # The CI pipeline fans the engine matrix {EDP_SHARDS=1,4} x {EDP_BURST=1,32}
 # plus an EDP_HORIZON=effects leg (shards=4, burst=32) across
@@ -225,6 +225,28 @@ step_elision_smoke() {
     }
 }
 
+step_perfbench_smoke() {
+    echo "==> perfbench outcome smoke (every workload, untraced and traced)"
+    # One short run of every benchmark workload, once untraced and once
+    # through the tracing shims. Each rep's outcome digest must equal the
+    # workload's reference (the 2-shard line's reference is the
+    # single-world line), so the fast paths are checked against the
+    # benchmark's outcomes: sharded vs classic, traced vs untraced. This
+    # gates on correctness only, never on timings.
+    local trace line
+    for trace in 0 1; do
+        line="$(env -u EDP_SHARDS -u EDP_BURST -u EDP_HORIZON -u EDP_SWEEP_THREADS \
+            python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace "$trace" | tail -n 1)"
+        python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("perfbench --trace %s: correct=%s failed=%s" % (sys.argv[2], r.get("correct"), r.get("failed")))
+print("perfbench --trace %s ok: %d reps, 0 failed" % (sys.argv[2], r["attempted"]))
+' "$line" "$trace"
+    done
+}
+
 step_clippy() {
     echo "==> cargo clippy (-D warnings)"
     cargo clippy --offline --all-targets -q -- -D warnings
@@ -272,6 +294,7 @@ gate)
     step_profile_smoke
     step_elision_smoke
     step_pcap
+    step_perfbench_smoke
     step_bench_gate
     ;;
 full)
@@ -285,6 +308,7 @@ full)
     step_pcap
     step_engine_matrix_local
     step_clippy
+    step_perfbench_smoke
     step_bench_gate
     ;;
 esac
