@@ -267,7 +267,7 @@ fn print_effects() {
         let timer = if rep.timer_local {
             "timers certified local"
         } else {
-            "timers horizon-bound"
+            "timers may emit"
         };
         println!("{} ({world}, {timer}):", rep.app);
         println!(

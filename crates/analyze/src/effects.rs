@@ -7,9 +7,7 @@
 //! user events, generated/recirculated packets). The dynamic side is
 //! the probe pass ([`crate::access::extract`]): every frame-routing
 //! decision a handler or its cascade made, attributed to the *entry*
-//! kind that started the cascade — the same attribution the sharded
-//! engine's certificate-aware horizon relies on when it classifies
-//! pending events as certified-local. The check is one subset relation
+//! kind that started the cascade. The check is one subset relation
 //! per entry kind:
 //!
 //! ```text
@@ -50,8 +48,7 @@ pub struct EffectReport {
     pub app: String,
     /// True when the manifest declares a (possibly empty) emission map.
     pub closed_world: bool,
-    /// True when the app's timer cascade provably cannot emit — the
-    /// certificate the sharded engine spends on timer cranks.
+    /// True when the app's timer cascade provably cannot emit.
     pub timer_local: bool,
     /// One row per kind the app handles or was observed emitting under.
     pub rows: Vec<EffectRow>,
@@ -105,9 +102,8 @@ pub fn check(app: &str, manifest: &AppManifest, matrix: &AccessMatrix) -> Vec<Di
                 subject: kind.name().to_string(),
                 message: format!(
                     "probing observed the {} cascade emit {observed} but the app \
-                     declares no emission map; the sharded engine must treat every \
-                     event as horizon-bound — declare emits()/no_emissions() to \
-                     certify locality",
+                     declares no emission map, so none of its events is certified \
+                     local — declare emits()/no_emissions() to certify locality",
                     kind.name()
                 ),
             });

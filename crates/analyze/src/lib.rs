@@ -22,8 +22,7 @@
 //! 5. **Effect summaries** ([`effects`]) — observed emissions are
 //!    cross-checked against the manifest's declared closed world:
 //!    emissions with no declaration at all (`EDP-W008`) and emissions
-//!    outside the declared closure (`EDP-E007`), the certificate the
-//!    sharded engine spends to skip cross-shard rendezvous.
+//!    outside the declared closure (`EDP-E007`).
 //!
 //! Findings are [`diag::Diagnostic`]s with stable codes; an app's
 //! [`AppManifest`] can `allow` individual `(code, subject)` pairs with a

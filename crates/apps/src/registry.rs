@@ -201,7 +201,7 @@ pub fn builtin_apps() -> Vec<RegisteredApp> {
                 .generates()
                 // The stats timer itself is silent, but `generates()` is
                 // app-global: cache-hit replies keep the timer closure
-                // open, so netcache timers stay horizon-bound. Honest.
+                // open, so netcache timers stay uncertified. Honest.
                 .emits(IngressPacket, EmitFootprint::Any)
                 .emits(GeneratedPacket, EmitFootprint::Any)
                 .source(file!()),
@@ -289,7 +289,7 @@ mod tests {
 
     /// Pins which timers the effects analysis certifies as shard-local.
     /// Adding an emission path to a certified app's timer cascade must
-    /// consciously move it to the horizon-bound list, not silently lose
+    /// consciously move it to the uncertified list, not silently lose
     /// (or worse, silently keep) the certificate.
     #[test]
     fn timer_certificates_match_the_documented_set() {

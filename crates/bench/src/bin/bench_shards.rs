@@ -1,18 +1,13 @@
 //! Sharded-engine scaling snapshot: wall-clock throughput of an
-//! 8-switch line topology at 1, 2, and 4 shards — each at burst
-//! factors 1 and 32, plus a burst-32 leg under the certificate-aware
-//! effects horizon — written to `BENCH_2.json`. The `windows` column
-//! is the burst engine's headline: sub-window execution collapses the
-//! negotiated window count by an order of magnitude at burst 32, and
-//! the effects horizon collapses it further still by extending
-//! `safe_horizon` past runs of certified-local events. `barriers`
-//! counts actual rendezvous on the `WindowSync`, the honest
-//! synchronization cost either way. Each leg also runs a second,
-//! profiled pass (`edp_telemetry::prof`) to attribute its wall-clock:
-//! the `barrier_wait_frac` and `exchange_frac` columns pin how much of
-//! the run waited at barriers vs moved mailbox traffic — the numbers
-//! the "make the sharded engine win" roadmap item spends next. The
-//! reported rate always comes from the unprofiled pass.
+//! 8-switch line topology at 1, 2, and 4 shards, written to
+//! `BENCH_2.json`. Each leg's rate is the median of [`TRIALS`] runs,
+//! reported with its interquartile range; trials alternate across legs so
+//! a slow phase of the host lands on every leg alike. `windows`,
+//! `barriers` and `cross_messages` are the run's deterministic shard
+//! counts. Each leg also runs one profiled pass (`edp_telemetry::prof`)
+//! to attribute its wall-clock: `barrier_wait_frac` and `exchange_frac`
+//! pin how much of the run waited on peers vs moved mailbox traffic.
+//! The reported rates always come from unprofiled passes.
 //!
 //! ```sh
 //! cargo run --release -p edp-bench --bin bench_shards
@@ -20,20 +15,19 @@
 //! ```
 //!
 //! The line `h0 — sw0 — sw1 — … — sw7 — h1` keeps every inter-switch
-//! link at 2 µs latency, so the partitioner cuts it into 8 single-switch
-//! groups with a 2 µs lookahead — at 4 shards each worker owns 2
-//! switches and every hop crosses a mailbox boundary. The run also
-//! asserts the delivered-packet count is identical at every shard
-//! count before reporting any rate.
+//! link at 2 µs latency. Block placement deals it into contiguous runs,
+//! so at `k` shards `k - 1` trunks cross a mailbox and each packet
+//! crosses `k - 1` times. The run also asserts the delivered-packet count
+//! is identical at every shard count before reporting any rate.
 //!
 //! Speedup is bounded by physical parallelism: the snapshot records
 //! `host_cores` (`std::thread::available_parallelism`) next to the
-//! rates so a number measured on a 1-core CI container is not mistaken
-//! for an engine regression.
+//! rates so a number measured on a 1-core container is not mistaken for
+//! an engine regression.
 
-use edp_evsim::{HorizonMode, Sim, SimDuration, SimTime};
+use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
-use edp_netsim::{run_sharded_opts, Host, HostApp, LinkSpec, Network, NodeRef};
+use edp_netsim::{run_sharded, Host, HostApp, LinkSpec, Network, NodeRef};
 use edp_packet::PacketBuilder;
 use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
 use edp_telemetry::prof;
@@ -42,16 +36,8 @@ use std::time::Instant;
 
 const SWITCHES: usize = 8;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-/// Execution-strategy legs swept per shard count: burst 1 = the legacy
-/// one-negotiation-per-window protocol, burst 32 = the sub-window fast
-/// path, and burst 32 under `EDP_HORIZON=effects` = the certificate-
-/// aware horizon. Outputs are byte-identical; only windows, barriers
-/// (and wall clock) move.
-const LEGS: [(usize, HorizonMode); 3] = [
-    (1, HorizonMode::Classic),
-    (32, HorizonMode::Classic),
-    (32, HorizonMode::Effects),
-];
+/// Unprofiled runs per leg; the reported rate is their median.
+const TRIALS: usize = 5;
 
 /// Builds the 8-switch line with `n` CBR packets armed. Pure function
 /// of its arguments — every shard builds the identical world.
@@ -110,42 +96,33 @@ fn build(n: u64) -> (Network, Sim<Network>) {
     (net, sim)
 }
 
-/// Runs the line at `shards` x `burst` under `mode` and returns
-/// `(delivered, windows, barriers, cross-shard messages, wall seconds)`.
-fn measure(shards: usize, burst: usize, mode: HorizonMode, n: u64) -> (u64, u64, u64, u64, f64) {
+/// Runs the line at `shards` and returns `(delivered, stats, wall
+/// seconds)`.
+fn measure(shards: usize, n: u64) -> (u64, edp_netsim::ShardStats, f64) {
     // 500 ns spacing + the ~17 µs path + margin.
     let deadline = SimTime::from_nanos(500 * n + 1_000_000);
     let t0 = Instant::now();
-    let (delivered, stats) = run_sharded_opts(
+    let (delivered, stats) = run_sharded(
         shards,
-        burst,
-        mode,
         deadline,
         |_shard| build(n),
         |_shard, net, _sim| net.hosts[1].stats.rx_pkts,
     );
     let secs = t0.elapsed().as_secs_f64();
-    (
-        delivered.iter().sum(),
-        stats.windows,
-        stats.barriers,
-        stats.cross_messages,
-        secs,
-    )
+    (delivered.iter().sum(), stats, secs)
 }
 
 /// Re-runs the leg with the wall-clock profiler enabled and returns
 /// `(barrier_wait_frac, exchange_frac)` — the fraction of the group's
-/// attributed wall-clock spent waiting at negotiation/exchange barriers
-/// and doing mailbox work, summed over shards. A separate pass so the
-/// profiler's own overhead never contaminates the reported rate.
-fn measure_fracs(shards: usize, burst: usize, mode: HorizonMode, n: u64) -> (f64, f64) {
+/// attributed wall-clock spent waiting on peers (negotiations and
+/// frontier stalls) and doing mailbox work, summed over shards. A
+/// separate pass so the profiler's own overhead never contaminates the
+/// reported rate.
+fn measure_fracs(shards: usize, n: u64) -> (f64, f64) {
     let deadline = SimTime::from_nanos(500 * n + 1_000_000);
     let epoch = Instant::now();
-    let (profiles, _) = run_sharded_opts(
+    let (profiles, _) = run_sharded(
         shards,
-        burst,
-        mode,
         deadline,
         |shard| {
             prof::enable(epoch, shard, shards);
@@ -168,11 +145,17 @@ fn measure_fracs(shards: usize, burst: usize, mode: HorizonMode, n: u64) -> (f64
     (wait as f64 / attr as f64, exchange as f64 / attr as f64)
 }
 
-fn mode_name(mode: HorizonMode) -> &'static str {
-    match mode {
-        HorizonMode::Classic => "classic",
-        HorizonMode::Effects => "effects",
-    }
+/// `(median, interquartile range)` of `xs`, with linearly interpolated
+/// quartiles.
+fn median_iqr(xs: &[f64]) -> (f64, f64) {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let q = |p: f64| {
+        let i = p * (v.len() - 1) as f64;
+        let (lo, hi) = (i.floor() as usize, i.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (i - lo as f64)
+    };
+    (q(0.5), q(0.75) - q(0.25))
 }
 
 fn main() {
@@ -205,59 +188,52 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!("bench_shards — {SWITCHES}-switch line, {pkts} pkts, {cores} host core(s)");
+    println!(
+        "bench_shards — {SWITCHES}-switch line, {pkts} pkts, {TRIALS} trials per leg, \
+         {cores} host core(s)"
+    );
 
-    let mut rows = Vec::new();
-    let mut base_rate = 0.0f64;
-    let mut base_secs = 0.0f64;
+    let mut rates: Vec<Vec<f64>> = vec![Vec::new(); SHARD_COUNTS.len()];
+    let mut stats = vec![edp_netsim::ShardStats::default(); SHARD_COUNTS.len()];
     let mut base_rx = None;
-    for shards in SHARD_COUNTS {
-        for (burst, mode) in LEGS {
-            let (rx, windows, barriers, crossed, secs) = measure(shards, burst, mode, pkts);
-            match base_rx {
-                None => base_rx = Some(rx),
-                Some(b) => assert_eq!(
-                    rx,
-                    b,
-                    "{shards}-shard burst-{burst} {} run delivered a different count",
-                    mode_name(mode)
-                ),
-            }
-            let rate = pkts as f64 / secs;
-            if shards == 1 && burst == 1 {
-                base_rate = rate;
-                base_secs = secs;
-            }
-            let speedup = rate / base_rate;
-            // Wall-clock ratio vs the 1-shard burst-1 baseline: < 1.0
-            // means this leg finished the same work faster.
-            let wall_ratio = secs / base_secs;
-            // A second, profiled pass attributes the leg's wall-clock;
-            // the rate above stays unprofiled.
-            let (wait_frac, exch_frac) = measure_fracs(shards, burst, mode, pkts);
-            println!(
-                "  {shards} shard(s) x burst {burst:>2} [{}]: {rate:>12.0} pkts/s  \
-                 ({windows} windows, {barriers} barriers, {crossed} cross msgs, \
-                 speedup {speedup:.2}x, wall {wall_ratio:.3}x, \
-                 barrier-wait {:.0}%, exchange {:.0}%)",
-                mode_name(mode),
-                wait_frac * 100.0,
-                exch_frac * 100.0,
+    for _ in 0..TRIALS {
+        for (leg, shards) in SHARD_COUNTS.into_iter().enumerate() {
+            let (rx, st, secs) = measure(shards, pkts);
+            assert_eq!(
+                *base_rx.get_or_insert(rx),
+                rx,
+                "{shards}-shard run delivered a different count"
             );
-            rows.push((
-                shards,
-                burst,
-                mode_name(mode),
-                rate,
-                windows,
-                barriers,
-                crossed,
-                speedup,
-                wall_ratio,
-                wait_frac,
-                exch_frac,
-            ));
+            rates[leg].push(pkts as f64 / secs);
+            stats[leg] = st;
         }
+    }
+    let (base_rate, _) = median_iqr(&rates[0]);
+    let mut rows = Vec::new();
+    for (leg, shards) in SHARD_COUNTS.into_iter().enumerate() {
+        let (rate, iqr) = median_iqr(&rates[leg]);
+        let st = stats[leg];
+        let speedup = rate / base_rate;
+        let (wait_frac, exch_frac) = measure_fracs(shards, pkts);
+        println!(
+            "  {shards} shard(s): {rate:>10.0} pkts/s (IQR {iqr:.0}) \
+             ({} windows, {} barriers, {} cross msgs, speedup {speedup:.2}x, \
+             barrier-wait {:.0}%, exchange {:.0}%)",
+            st.windows,
+            st.barriers,
+            st.cross_messages,
+            wait_frac * 100.0,
+            exch_frac * 100.0,
+        );
+        rows.push(format!(
+            "    {{\"shards\": {shards}, \"trials\": {TRIALS}, \
+             \"pkts_per_sec\": {rate:.1}, \"pkts_per_sec_iqr\": {iqr:.1}, \
+             \"windows\": {}, \"barriers\": {}, \"cross_messages\": {}, \
+             \"speedup_vs_baseline\": {speedup:.3}, \
+             \"barrier_wait_frac\": {wait_frac:.3}, \
+             \"exchange_frac\": {exch_frac:.3}}}",
+            st.windows, st.barriers, st.cross_messages,
+        ));
     }
 
     let mut json = String::from("{\n");
@@ -265,41 +241,12 @@ fn main() {
     json.push_str(&format!("  \"switches\": {SWITCHES},\n"));
     json.push_str(&format!("  \"host_cores\": {cores},\n"));
     json.push_str(
-        "  \"note\": \"speedup is bounded by host_cores; a 1-core container \
-         cannot show parallel gains regardless of engine quality\",\n",
+        "  \"note\": \"pkts_per_sec is the median of `trials` runs, with its \
+         interquartile range; speedup is bounded by host_cores\",\n",
     );
     json.push_str("  \"results\": [\n");
-    for (
-        i,
-        (
-            shards,
-            burst,
-            horizon,
-            rate,
-            windows,
-            barriers,
-            crossed,
-            speedup,
-            wall_ratio,
-            wait_frac,
-            exch_frac,
-        ),
-    ) in rows.iter().enumerate()
-    {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"shards\": {shards}, \"burst\": {burst}, \
-             \"horizon\": \"{horizon}\", \
-             \"pkts_per_sec\": {rate:.1}, \
-             \"windows\": {windows}, \"barriers\": {barriers}, \
-             \"cross_messages\": {crossed}, \
-             \"speedup_vs_baseline\": {speedup:.3}, \
-             \"wall_clock_ratio\": {wall_ratio:.3}, \
-             \"barrier_wait_frac\": {wait_frac:.3}, \
-             \"exchange_frac\": {exch_frac:.3}}}{comma}\n"
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    json.push_str(&rows.join(",\n"));
+    json.push_str("\n  ]\n}\n");
     std::fs::write(&out, json).expect("write snapshot");
     println!("wrote {out}");
 }

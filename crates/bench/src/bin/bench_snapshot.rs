@@ -14,11 +14,11 @@
 //! ```
 //!
 //! Interpretation: every metric is an operations-per-second rate, larger
-//! is better. The JSON is flat (`{"metrics": {"name": rate, ...}}`) so a
+//! is better, except the `shard_*` counts, where lower is better. The JSON is flat (`{"metrics": {"name": rate, ...}}`) so a
 //! later PR can diff two snapshots with nothing fancier than `jq`.
 
 use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig};
-use edp_evsim::{burst_from_env, Periodic, Sim, SimDuration, SimTime};
+use edp_evsim::{Periodic, Sim, SimDuration, SimTime};
 use edp_packet::{Burst, Packet, PacketBuilder, PacketUid};
 use edp_pisa::{
     insert_ipv4_route, ipv4_lpm_schema, FieldMatch, ForwardTo, MatchKind, MatchTable, TableEntry,
@@ -271,12 +271,6 @@ fn bench_switch_pkts_at(n: u64, burst: usize) -> f64 {
     drive_switch(&mut sw, &frame, n, burst, 1)
 }
 
-/// The snapshot's forward number at the ambient `EDP_BURST` (default 1,
-/// i.e. the classic loop).
-fn bench_switch_pkts(n: u64) -> f64 {
-    bench_switch_pkts_at(n, burst_from_env())
-}
-
 /// pkts/s through the EventSwitch running a routed program: a
 /// [`TableRouter`] with 1k LPM routes installed. The first packet of the
 /// flow runs the LPM lookup; every later packet replays the memoized
@@ -307,11 +301,6 @@ fn bench_switch_routed_at(n: u64, burst: usize) -> f64 {
         );
     }
     drive_switch(&mut sw, &frame, n, burst, 2)
-}
-
-/// The snapshot's routed number at the ambient `EDP_BURST`.
-fn bench_switch_routed(n: u64) -> f64 {
-    bench_switch_routed_at(n, burst_from_env())
 }
 
 /// pkts/s for a 3-way flood fan-out (the multicast copy path).
@@ -365,26 +354,16 @@ fn bench_switch_flood(n: u64) -> f64 {
 /// committed baseline — measured at 1 shard — gates the engine's fixed
 /// overhead (windows, barriers, mailboxes) over the classic loop.
 fn bench_sharded_dumbbell(n: u64) -> f64 {
-    let shards = edp_bench::top::shards_from_env().max(1);
-    run_dumbbell(n, shards, burst_from_env()).0
-}
-
-/// Runs the canonical dumbbell through the sharded engine and returns
-/// `(pkts/s, negotiated windows)`. The window count is a pure function
-/// of `(n, shards, subwindows)` — no wall-clock input — so it doubles
-/// as a deterministic gate metric.
-fn run_dumbbell(n: u64, shards: usize, subwindows: usize) -> (f64, u64) {
     use edp_netsim::traffic::start_cbr;
-    use edp_netsim::{run_sharded_opts, Host, HostApp, LinkSpec, Network, NodeRef};
+    use edp_netsim::{run_sharded, Host, HostApp, LinkSpec, Network, NodeRef};
     use edp_pisa::QueueConfig;
 
+    let shards = edp_bench::top::shards_from_env().max(1);
     let interval = SimDuration::from_nanos(500);
     let deadline = SimTime::from_nanos(500 * n + 1_000_000);
     let t0 = Instant::now();
-    let (delivered, stats) = run_sharded_opts(
+    let (delivered, _) = run_sharded(
         shards,
-        subwindows,
-        edp_evsim::HorizonMode::Classic,
         deadline,
         |_shard| {
             let mut net = Network::new(1);
@@ -417,55 +396,49 @@ fn run_dumbbell(n: u64, shards: usize, subwindows: usize) -> (f64, u64) {
     );
     let total: u64 = delivered.iter().sum();
     assert_eq!(total, n, "dumbbell must deliver every frame");
-    (rate(n, t0.elapsed()), stats.windows)
+    rate(n, t0.elapsed())
 }
 
-/// Negotiated safe-horizon windows for a *fixed* line workload
-/// (10k packets, 4 switches, 2 shards, 32 sub-windows): a deterministic
-/// count — identical in smoke and full runs, on any machine — gated
-/// lower-is-better so the burst engine's window collapse can never
-/// silently regress.
+/// Frontier sessions for a *fixed* line workload (10k packets, 4
+/// switches, 2 shards): a deterministic count — identical in smoke and
+/// full runs, on any machine — gated lower-is-better so a protocol that
+/// goes back to one negotiation per lookahead fails CI.
 ///
 /// The dumbbell is useless for this metric: with one switch the
-/// partitioner finds no cross-shard link, the lookahead is unbounded and
-/// the whole run is a single window. The 4-switch line's 2 µs trunks
-/// give the shards a real lookahead to negotiate over.
+/// partitioner finds no cross-shard link and the shards never interact.
+/// The 4-switch line's 2 µs trunks give the shards a real lookahead.
 fn bench_shard_windows() -> f64 {
-    run_line(10_000, 2, 32, 4).1.windows as f64
+    run_line(10_000, 2, 4).windows as f64
 }
 
-/// Rendezvous fired for a *fixed* 8-switch 2-shard 32-sub-window line
-/// workload — the leg the PR-10 exchange-elision work attacks. Like
-/// `shard_windows` it is a pure function of the workload (elision
-/// decisions fold through the negotiated bound, never a wall clock), so
-/// it gates lower-is-better: a change that reintroduces per-sub-step
-/// rendezvous on traffic-free spans fails CI instead of silently giving
-/// the barrier latency back.
+/// Rendezvous joined on a *fixed* 8-switch 2-shard line workload. Like
+/// `shard_windows` it is a pure function of the workload, so it gates
+/// lower-is-better: a change that puts a barrier back inside the run
+/// fails CI instead of silently giving the barrier latency back.
 fn bench_shard_barriers() -> f64 {
-    run_line(10_000, 2, 32, 8).1.barriers as f64
+    run_line(10_000, 2, 8).barriers as f64
+}
+
+/// Packets that crossed a shard boundary on the same fixed 8-switch
+/// 2-shard line: one per packet when block placement cuts a single
+/// trunk. Deterministic and gated lower-is-better, so a partition that
+/// scatters neighbours across shards again fails CI.
+fn bench_shard_cross_messages() -> f64 {
+    run_line(10_000, 2, 8).cross_messages as f64
 }
 
 /// Runs an `switches`-switch line (`h0 — sw0 — … — h1`, 2 µs trunks)
-/// through the sharded engine and returns `(pkts/s, ShardStats)`. The
-/// window and barrier counts are pure functions of
-/// `(n, shards, subwindows, switches)` — no wall-clock input.
-fn run_line(
-    n: u64,
-    shards: usize,
-    subwindows: usize,
-    switches: usize,
-) -> (f64, edp_netsim::ShardStats) {
+/// through the sharded engine and returns its [`edp_netsim::ShardStats`],
+/// a pure function of `(n, shards, switches)` — no wall-clock input.
+fn run_line(n: u64, shards: usize, switches: usize) -> edp_netsim::ShardStats {
     use edp_netsim::traffic::start_cbr;
-    use edp_netsim::{run_sharded_opts, Host, HostApp, LinkSpec, Network, NodeRef};
+    use edp_netsim::{run_sharded, Host, HostApp, LinkSpec, Network, NodeRef};
     use edp_pisa::QueueConfig;
 
     let interval = SimDuration::from_nanos(500);
     let deadline = SimTime::from_nanos(500 * n + 1_000_000);
-    let t0 = Instant::now();
-    let (delivered, stats) = run_sharded_opts(
+    let (delivered, stats) = run_sharded(
         shards,
-        subwindows,
-        edp_evsim::HorizonMode::Classic,
         deadline,
         |_shard| {
             let mut net = Network::new(7);
@@ -521,7 +494,7 @@ fn run_line(
     );
     let total: u64 = delivered.iter().sum();
     assert_eq!(total, n, "line must deliver every frame");
-    (rate(n, t0.elapsed()), stats)
+    stats
 }
 
 /// pkts/s for the capture-ingestion path: decode a generated classic
@@ -583,11 +556,10 @@ fn bench_pcap_replay(n: u64) -> f64 {
 
 /// Metrics gated by the CI regression check: the event-queue and LPM
 /// rates the PR-1 fast-path work optimized, the sharded-engine dumbbell
-/// throughput, the burst-mode forward rate (explicit burst of 32, so it
-/// measures the fast path regardless of the ambient `EDP_BURST`), and
-/// the deterministic window count. The raw per-packet path metrics are
+/// throughput, the burst-mode forward rate (explicit burst of 32), and
+/// the deterministic shard counts. The raw per-packet path metrics are
 /// too machine-noise-prone at smoke scale to gate on.
-const GATED_METRICS: [&str; 9] = [
+const GATED_METRICS: [&str; 10] = [
     "events_schedule_fire_per_sec",
     "events_cancel_heavy_per_sec",
     "events_periodic_per_sec",
@@ -597,12 +569,13 @@ const GATED_METRICS: [&str; 9] = [
     "pcap_replay_pkts_per_sec",
     "shard_windows",
     "shard_barriers",
+    "shard_cross_messages",
 ];
 
 /// Gated metrics where *lower* is better — deterministic counts, not
 /// throughput rates. For these the regression fraction is how far the
 /// measurement rose above the baseline.
-const LOWER_IS_BETTER: [&str; 2] = ["shard_windows", "shard_barriers"];
+const LOWER_IS_BETTER: [&str; 3] = ["shard_windows", "shard_barriers", "shard_cross_messages"];
 
 /// Scale for re-measuring a tripped gated metric: windows of tens to
 /// hundreds of milliseconds, wide enough that CPU-frequency and
@@ -628,6 +601,7 @@ fn bench_gated(name: &str, s: &Scale) -> Option<f64> {
         "pcap_replay_pkts_per_sec" => bench_pcap_replay(s.pkts),
         "shard_windows" => bench_shard_windows(),
         "shard_barriers" => bench_shard_barriers(),
+        "shard_cross_messages" => bench_shard_cross_messages(),
         _ => return None,
     })
 }
@@ -759,8 +733,14 @@ fn main() {
         "lookups_ternary_128_per_sec",
         bench_ternary_lookup(s.lookups),
     );
-    record("switch_forward_pkts_per_sec", bench_switch_pkts(s.pkts));
-    record("switch_routed_1k_pkts_per_sec", bench_switch_routed(s.pkts));
+    record(
+        "switch_forward_pkts_per_sec",
+        bench_switch_pkts_at(s.pkts, 1),
+    );
+    record(
+        "switch_routed_1k_pkts_per_sec",
+        bench_switch_routed_at(s.pkts, 1),
+    );
     record("switch_flood_pkts_per_sec", bench_switch_flood(s.pkts / 4));
     record(
         "sharded_dumbbell_pkts_per_sec",
@@ -777,6 +757,7 @@ fn main() {
     record("pcap_replay_pkts_per_sec", bench_pcap_replay(s.pkts));
     record("shard_windows", bench_shard_windows());
     record("shard_barriers", bench_shard_barriers());
+    record("shard_cross_messages", bench_shard_cross_messages());
 
     let path = out.unwrap_or_else(next_snapshot_path);
     let mut json = String::from("{\n");
@@ -869,7 +850,8 @@ mod tests {
     "switch_forward_burst_pkts_per_sec": 8000000.0,
     "pcap_replay_pkts_per_sec": 400000.0,
     "shard_windows": 1000.0,
-    "shard_barriers": 5000.0
+    "shard_barriers": 5000.0,
+    "shard_cross_messages": 10000.0
   }
 }"#;
 
@@ -914,6 +896,9 @@ mod tests {
         // ...while dropping (better batching) never trips the gate.
         let measured: Vec<(&str, f64)> = vec![("shard_windows", 100.0)];
         assert!(check_regressions(&measured, SNAPSHOT, 0.25).is_empty());
+        // Scattering the line across shards again multiplies crossings.
+        let measured: Vec<(&str, f64)> = vec![("shard_cross_messages", 70_000.0)];
+        assert_eq!(check_regressions(&measured, SNAPSHOT, 0.25).len(), 1);
     }
 
     #[test]

@@ -18,11 +18,10 @@ use edp_core::event::{
     TransmitEvent, UnderflowEvent, UserEvent,
 };
 use edp_core::{EventActions, EventProgram, EventSwitch, EventSwitchConfig, TimerSpec};
-use edp_evsim::{default_threads, sweep, HorizonMode, Sim, SimDuration, SimTime};
+use edp_evsim::{default_threads, sweep, Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::{
-    run_sharded_opts, start_endpoints, start_replay, EndpointConfig, EndpointFleet, HostApp,
-    Network,
+    run_sharded, start_endpoints, start_replay, EndpointConfig, EndpointFleet, HostApp, Network,
 };
 use edp_packet::{Packet, PacketBuilder, ParsedPacket, PcapPacket};
 use edp_pisa::{Destination, StdMeta};
@@ -71,15 +70,6 @@ pub struct TopOptions {
     /// through [`edp_netsim::run_sharded`], whose output is byte-identical
     /// for any shard count.
     pub shards: usize,
-    /// Burst factor (`EDP_BURST` default): sub-windows executed per
-    /// negotiated shard window. Pure execution-strategy knob — output is
-    /// byte-identical for any value `>= 1`; only the window count drops.
-    pub burst: usize,
-    /// Horizon mode (`EDP_HORIZON` default): classic conservative
-    /// windows, or the certificate-aware effects horizon that spends each
-    /// app's [`edp_core::EffectSummary`]. Pure execution-strategy knob —
-    /// output is byte-identical; only window/barrier counts move.
-    pub horizon: HorizonMode,
     /// The traffic source (CBR, pcap replay, or endpoint fleet).
     pub workload: TopWorkload,
     /// Opt-in wall-clock profiler ([`edp_telemetry::prof`]). Collects
@@ -93,8 +83,8 @@ pub struct TopOptions {
 /// Reads `EDP_SHARDS`; unset or empty means `0` (classic path).
 ///
 /// Anything else must parse as a non-negative integer — garbage or
-/// negative values exit with a diagnostic naming the bad value, matching
-/// the engine's misconfiguration policy (`EDP_BURST`, `EDP_HORIZON`).
+/// negative values exit with a diagnostic naming the bad value instead of
+/// silently running some other path.
 pub fn shards_from_env() -> usize {
     let raw = match std::env::var("EDP_SHARDS") {
         Ok(v) => v,
@@ -106,11 +96,13 @@ pub fn shards_from_env() -> usize {
     }
     match v.parse() {
         Ok(n) => n,
-        Err(_) => edp_evsim::env_config_error(
-            "EDP_SHARDS",
-            v,
-            "a non-negative shard count (0 = classic single-world path)",
-        ),
+        Err(_) => {
+            eprintln!(
+                "error: EDP_SHARDS must be a non-negative shard count \
+                 (0 = classic single-world path), got `{v}`"
+            );
+            std::process::exit(2);
+        }
     }
 }
 
@@ -122,8 +114,6 @@ impl Default for TopOptions {
             threads: default_threads(),
             trace_capacity: 65_536,
             shards: shards_from_env(),
-            burst: edp_evsim::burst_from_env(),
-            horizon: edp_evsim::horizon_from_env(),
             workload: TopWorkload::Cbr,
             profile: false,
         }
@@ -336,19 +326,11 @@ fn build_point(
         }),
         _ => reg_app.program,
     };
-    let summary = edp_core::EffectSummary::from_manifest(&reg_app.manifest);
     let sw: EventSwitch<Box<dyn EventProgram>> = EventSwitch::new(program, cfg);
     // One sender on port 0, sink behind a 50 Mb/s bottleneck on port 1 —
     // the port most registry apps egress to — so ~190 Mb/s of CBR load
     // builds real queues and forces overflow/trim paths.
     let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 1, 50_000_000, seed);
-    // The app's emission certificate rides along so a sharded run under
-    // the effects horizon can class certified timer cranks local. The
-    // ReturnPath front adds an undeclared client-bound ingress emission,
-    // so the endpoint workload conservatively runs uncertified.
-    if !matches!(workload, TopWorkload::Endpoints { .. }) {
-        net.install_effect_summary(0, summary);
-    }
     let mut sim: Sim<Network> = Sim::new();
     let until = SimTime::ZERO + duration;
     match workload {
@@ -468,10 +450,8 @@ fn run_point_sharded(app: &str, seed: u64, o: &TopOptions) -> PointOutcome {
     // shard's profiling timestamps share an origin and the per-shard
     // tracks of the trace export line up.
     let epoch = Instant::now();
-    let (sessions, stats) = run_sharded_opts(
+    let (sessions, stats) = run_sharded(
         o.shards,
-        o.burst,
-        o.horizon,
         SimTime::ZERO + o.duration,
         |shard| {
             telemetry::enable(TelemetryConfig {
@@ -569,10 +549,8 @@ pub fn measure_overhead(app: &str, duration: SimDuration, reps: u64) -> (f64, f6
 pub fn measure_prof_overhead(app: &str, duration: SimDuration, reps: u64) -> (f64, f64) {
     let run_once = |seed: u64, profile: bool| {
         let epoch = Instant::now();
-        let (_, stats) = run_sharded_opts(
+        let (_, stats) = run_sharded(
             2,
-            1,
-            HorizonMode::Classic,
             SimTime::ZERO + duration,
             |shard| {
                 if profile {
@@ -605,10 +583,7 @@ pub fn run(app: &str, opts: &TopOptions) -> Result<TopReport, String> {
             app_names().join(", ")
         ));
     }
-    let point_opts = TopOptions {
-        burst: opts.burst.max(1),
-        ..opts.clone()
-    };
+    let point_opts = opts.clone();
     let mut outcomes = sweep(opts.seeds.clone(), opts.threads, move |seed| {
         run_point(app, seed, &point_opts)
     });
@@ -860,8 +835,6 @@ mod tests {
             threads: 1,
             trace_capacity: 4096,
             shards: 0,
-            burst: 1,
-            horizon: HorizonMode::Classic,
             workload: TopWorkload::Cbr,
             profile: false,
         }

@@ -1,10 +1,8 @@
 //! Static effect summaries: what an event program can *do to the wire*.
 //!
-//! The sharded engine (see `edp-netsim`) advances each shard in
-//! conservative safe-horizon windows; the horizon exists only because a
-//! handler firing *might* transmit a frame toward another shard. An
-//! [`EffectSummary`] is the per-app certificate that bounds that
-//! possibility: for every [`EventKind`] it gives a conservative
+//! An [`EffectSummary`] is the per-app certificate that bounds what a
+//! handler firing can transmit: for every [`EventKind`] it gives a
+//! conservative
 //! [`EmitFootprint`] — the set of ports on which handling an event of
 //! that kind can cause a frame to leave the switch, closed over the
 //! indirect paths (raised user events, generated/recirculated packets)
@@ -15,10 +13,10 @@
 //! open-world and certify nothing) and *cross-checked* by `edp-analyze`,
 //! which drives the probe over every declared event and reports any
 //! observed emission not covered by the declaration (lints EDP-W008 /
-//! EDP-E007). The engine trusts only the declared, lint-checked closure:
-//! an event kind whose closure footprint is [`EmitFootprint::None`]
-//! cannot make a handler transmit, so events of that kind never need a
-//! cross-shard rendezvous.
+//! EDP-E007). An event kind whose closure footprint is
+//! [`EmitFootprint::None`] cannot make a handler transmit. The sharded
+//! engine does not read summaries: its frontier session is sound for
+//! every event without them.
 
 use crate::event::EventKind;
 use crate::manifest::AppManifest;
@@ -191,9 +189,9 @@ impl EffectSummary {
         acc
     }
 
-    /// True when firing a timer provably cannot transmit a frame — the
-    /// certificate that lets the sharded engine classify this switch's
-    /// timer cranks as local and extend the safe horizon past them.
+    /// True when firing a timer provably cannot transmit a frame: the
+    /// whole timer cascade (handler, raised user events, generated
+    /// packets) stays inside the switch.
     pub fn timer_local(&self) -> bool {
         !self.closure(EventKind::TimerExpiration).can_emit()
     }

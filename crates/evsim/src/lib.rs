@@ -45,11 +45,8 @@ mod wheel;
 pub use clock::{ClockDomain, Cycles};
 pub use parallel::{default_threads, sweep};
 pub use rng::{SimRng, Zipf};
-pub use shard::{
-    burst_from_env, drive_windows, env_config_error, horizon_from_env, safe_horizon, DriveStats,
-    HorizonMode, WindowSync,
-};
-pub use sim::{EventClass, EventFn, EventId, Periodic, Sim, UNKEYED};
+pub use shard::{drive_windows, safe_horizon, DriveStats, WindowSync};
+pub use sim::{EventFn, EventId, Periodic, Sim, UNKEYED};
 pub use stats::{jain_fairness, percentile, Counter, Histogram, TimeSeries, Welford};
 pub use time::{SimDuration, SimTime};
 pub use wheel::{TimerId, TimerWheel};

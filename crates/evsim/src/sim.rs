@@ -109,31 +109,6 @@ pub enum Periodic {
 /// scheduling order (`seq`) among themselves. See [`Sim::schedule_keyed_at`].
 pub const UNKEYED: u64 = u64::MAX;
 
-/// Horizon class of a scheduled event, for window-driven execution
-/// (see `shard::drive_windows` with [`crate::HorizonMode::Effects`]).
-///
-/// - [`EventClass::Bound`] (the default): firing the event may publish a
-///   message toward another shard, so it participates in safe-horizon
-///   negotiation.
-/// - [`EventClass::Local`]: the scheduler's owner certifies that firing
-///   the event — *including every event its cascade schedules* — cannot
-///   publish anything cross-shard. Certified-local events are invisible
-///   to [`Sim::peek_next_bound`], which is what lets the effects horizon
-///   extend a window past runs of them without a rendezvous.
-///
-/// The class is pure metadata: it never changes firing order. An event
-/// wrongly classed `Local` breaks the window invariant, which is why the
-/// only producers of `Local` are sites backed by a lint-checked
-/// `EffectSummary` certificate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventClass {
-    /// May publish cross-shard; bounds the safe horizon.
-    #[default]
-    Bound,
-    /// Certified local: the whole cascade stays inside the shard.
-    Local,
-}
-
 /// Compact heap key; the payload lives in the slot arena.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct HeapKey {
@@ -262,9 +237,6 @@ struct Slot<W> {
     /// Bumped every time the slot is freed or re-armed, invalidating any
     /// [`EventId`] handed out for the previous occupant.
     generation: u32,
-    /// Horizon class of the current occupant; set on every arm (slots
-    /// are reused, so a stale class must never survive a re-arm).
-    class: EventClass,
     /// Sequence number of the heap key currently pointing at this slot
     /// (meaningful only while occupied; checks the slab invariant).
     #[cfg(debug_assertions)]
@@ -350,8 +322,8 @@ impl<W> Sim<W> {
     }
 
     /// Grabs a vacant slot (reusing the free list when possible) and arms
-    /// it with `state` and `class`. Returns the slot index.
-    fn arm_slot(&mut self, seq: u64, class: EventClass, state: SlotState<W>) -> u32 {
+    /// it with `state`. Returns the slot index.
+    fn arm_slot(&mut self, seq: u64, state: SlotState<W>) -> u32 {
         let _ = seq;
         if self.free_head != NO_FREE {
             let idx = self.free_head;
@@ -361,7 +333,6 @@ impl<W> Sim<W> {
                 _ => unreachable!("free list points at an occupied slot"),
             }
             slot.state = state;
-            slot.class = class;
             #[cfg(debug_assertions)]
             {
                 slot.armed_seq = seq;
@@ -371,7 +342,6 @@ impl<W> Sim<W> {
             let idx = u32::try_from(self.slots.len()).expect("more than u32::MAX live events");
             self.slots.push(Slot {
                 generation: 0,
-                class,
                 #[cfg(debug_assertions)]
                 armed_seq: seq,
                 state,
@@ -431,38 +401,12 @@ impl<W> Sim<W> {
         self.schedule_keyed_boxed(at, key, Box::new(f))
     }
 
-    /// [`Sim::schedule_keyed_at`] for an already-boxed event.
+    /// [`Sim::schedule_keyed_at`] for an already-boxed event; the single
+    /// funnel every one-shot schedule goes through.
     pub fn schedule_keyed_boxed(
         &mut self,
         at: SimTime,
         key: u64,
-        f: Box<dyn EventFn<W>>,
-    ) -> EventId {
-        self.schedule_classed_boxed(at, key, EventClass::Bound, f)
-    }
-
-    /// Schedules `f` at `at` with an ordering key *and* an explicit
-    /// [`EventClass`]. Pass [`UNKEYED`] for events with no same-instant
-    /// ordering identity. `Local` is a certificate — see [`EventClass`];
-    /// callers without one must stay with the `Bound` default the other
-    /// schedule variants apply.
-    pub fn schedule_classed_at(
-        &mut self,
-        at: SimTime,
-        key: u64,
-        class: EventClass,
-        f: impl EventFn<W> + 'static,
-    ) -> EventId {
-        self.schedule_classed_boxed(at, key, class, Box::new(f))
-    }
-
-    /// [`Sim::schedule_classed_at`] for an already-boxed event; the single
-    /// funnel every one-shot schedule goes through.
-    pub fn schedule_classed_boxed(
-        &mut self,
-        at: SimTime,
-        key: u64,
-        class: EventClass,
         f: Box<dyn EventFn<W>>,
     ) -> EventId {
         assert!(
@@ -473,7 +417,7 @@ impl<W> Sim<W> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.arm_slot(seq, class, SlotState::Once(f));
+        let slot = self.arm_slot(seq, SlotState::Once(f));
         let heap_key = HeapKey {
             time: at,
             key,
@@ -530,7 +474,6 @@ impl<W> Sim<W> {
         self.next_seq += 1;
         let slot = self.arm_slot(
             seq,
-            EventClass::Bound,
             SlotState::Repeating(Box::new(Repeat {
                 period,
                 tick: Box::new(f),
@@ -671,10 +614,7 @@ impl<W> Sim<W> {
                         Periodic::Continue => {
                             // Re-arm in place: same slot, same box, fresh
                             // seq, bumped generation (stale ids must not
-                            // cancel future ticks they never named). The
-                            // class is kept: periodic timers only arm as
-                            // `Bound` (schedule_periodic) and never
-                            // reclassify.
+                            // cancel future ticks they never named).
                             let at = self.now + rep.period;
                             let seq = self.next_seq;
                             self.next_seq += 1;
@@ -727,28 +667,6 @@ impl<W> Sim<W> {
                 None => break None,
             }
         }
-    }
-
-    /// Time of the earliest live pending event classed
-    /// [`EventClass::Bound`], ignoring certified-local events. `None` when
-    /// every pending event is local (or nothing is pending) — the state
-    /// in which a shard no longer constrains the global safe horizon.
-    ///
-    /// A full scan of the heap's backing vector and the lane, not a pop:
-    /// the effects horizon calls this once per window barrier, where
-    /// O(pending) is noise next to the rendezvous it replaces; the hot
-    /// firing path is untouched.
-    pub fn peek_next_bound(&self) -> Option<SimTime> {
-        self.heap
-            .keys
-            .iter()
-            .chain(&self.lane)
-            .filter(|k| {
-                let slot = &self.slots[k.slot as usize];
-                slot.class == EventClass::Bound && !matches!(slot.state, SlotState::Cancelled)
-            })
-            .map(|k| k.time)
-            .min()
     }
 
     /// Runs until the queue drains or the next event is strictly after
@@ -1248,47 +1166,6 @@ mod tests {
         });
         sim.run(&mut out);
         assert_eq!(out, vec![10, 20, 21]);
-    }
-
-    #[test]
-    fn peek_next_bound_ignores_local_events_but_fires_them_in_order() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        let mut out = Vec::new();
-        sim.schedule_classed_at(
-            SimTime::from_nanos(5),
-            UNKEYED,
-            EventClass::Local,
-            |w: &mut Vec<u64>, _: &mut _| w.push(5),
-        );
-        sim.schedule_at(SimTime::from_nanos(9), |w: &mut Vec<u64>, _: &mut _| {
-            w.push(9)
-        });
-        // The local event is earlier, but only the bound one constrains
-        // the horizon — and the class never changes firing order.
-        assert_eq!(sim.peek_next(), Some(SimTime::from_nanos(5)));
-        assert_eq!(sim.peek_next_bound(), Some(SimTime::from_nanos(9)));
-        sim.run(&mut out);
-        assert_eq!(out, vec![5, 9]);
-    }
-
-    #[test]
-    fn peek_next_bound_skips_cancelled_and_reused_slots_honestly() {
-        let mut sim: Sim<u64> = Sim::new();
-        let a = sim.schedule_at(SimTime::from_nanos(3), |_: &mut u64, _: &mut _| {});
-        sim.cancel(a);
-        assert_eq!(sim.peek_next_bound(), None, "cancelled bound event");
-        // Drain so the slot is reclaimed, then reuse it for a local event:
-        // the stale Bound class must not leak through.
-        let mut w = 0u64;
-        sim.run(&mut w);
-        sim.schedule_classed_at(
-            SimTime::from_nanos(7),
-            UNKEYED,
-            EventClass::Local,
-            |_: &mut u64, _: &mut _| {},
-        );
-        assert_eq!(sim.peek_next_bound(), None, "reused slot re-classed local");
-        assert_eq!(sim.peek_next(), Some(SimTime::from_nanos(7)));
     }
 
     #[test]

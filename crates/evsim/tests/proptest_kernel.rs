@@ -156,7 +156,7 @@ proptest! {
 // Firing order against a reference model
 // ---------------------------------------------------------------------
 
-use edp_evsim::{EventClass, EventId, Periodic, UNKEYED};
+use edp_evsim::{EventId, Periodic, UNKEYED};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
@@ -169,7 +169,6 @@ struct Ev {
     tag: u32,
     delay: u64,
     key: Option<u64>,
-    local: bool,
     cancel: Option<usize>,
     children: Vec<Ev>,
 }
@@ -201,14 +200,6 @@ enum Drive {
 const CANCEL_TRUE: u32 = u32::MAX;
 const CANCEL_FALSE: u32 = u32::MAX - 1;
 
-fn class_of(local: bool) -> EventClass {
-    if local {
-        EventClass::Local
-    } else {
-        EventClass::Bound
-    }
-}
-
 #[derive(Default)]
 struct SimWorld {
     log: Vec<(u64, u32)>,
@@ -218,12 +209,9 @@ struct SimWorld {
 fn sim_arm(s: &mut Sim<SimWorld>, ev: Rc<Ev>) -> EventId {
     let at = s.now() + SimDuration::from_nanos(ev.delay);
     let key = ev.key.unwrap_or(UNKEYED);
-    s.schedule_classed_at(
-        at,
-        key,
-        class_of(ev.local),
-        move |w: &mut SimWorld, s: &mut Sim<SimWorld>| sim_fire(w, s, &ev),
-    )
+    s.schedule_keyed_at(at, key, move |w: &mut SimWorld, s: &mut Sim<SimWorld>| {
+        sim_fire(w, s, &ev)
+    })
 }
 
 fn sim_fire(w: &mut SimWorld, s: &mut Sim<SimWorld>, ev: &Ev) {
@@ -257,8 +245,8 @@ enum Action {
 struct Model {
     now: u64,
     heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    /// seq -> (action, certified local, cancelled)
-    entries: HashMap<u64, (Action, bool, bool)>,
+    /// seq -> (action, cancelled)
+    entries: HashMap<u64, (Action, bool)>,
     next_seq: u64,
     live: usize,
     ids: Vec<Option<u64>>,
@@ -266,29 +254,24 @@ struct Model {
 }
 
 impl Model {
-    fn arm(&mut self, at: u64, key: u64, local: bool, action: Action) -> u64 {
+    fn arm(&mut self, at: u64, key: u64, action: Action) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse((at, key, seq)));
-        self.entries.insert(seq, (action, local, false));
+        self.entries.insert(seq, (action, false));
         self.live += 1;
         seq
     }
 
     fn arm_ev(&mut self, ev: &Ev) -> u64 {
         let at = self.now + ev.delay;
-        self.arm(
-            at,
-            ev.key.unwrap_or(UNKEYED),
-            ev.local,
-            Action::Once(ev.clone()),
-        )
+        self.arm(at, ev.key.unwrap_or(UNKEYED), Action::Once(ev.clone()))
     }
 
     fn cancel(&mut self, seq: u64) -> bool {
         match self.entries.get_mut(&seq) {
-            Some(e) if !e.2 => {
-                e.2 = true;
+            Some(e) if !e.1 => {
+                e.1 = true;
                 self.live -= 1;
                 true
             }
@@ -296,20 +279,17 @@ impl Model {
         }
     }
 
-    fn next_time(&self, bound_only: bool) -> Option<u64> {
+    fn next_time(&self) -> Option<u64> {
         self.heap
             .iter()
-            .filter(|Reverse((_, _, seq))| {
-                let (_, local, cancelled) = &self.entries[seq];
-                !(*cancelled || (bound_only && *local))
-            })
+            .filter(|Reverse((_, _, seq))| !self.entries[seq].1)
             .map(|Reverse((t, _, _))| *t)
             .min()
     }
 
     fn step(&mut self) -> bool {
         while let Some(Reverse((t, _, seq))) = self.heap.pop() {
-            let (action, _, cancelled) = self.entries.remove(&seq).expect("entry");
+            let (action, cancelled) = self.entries.remove(&seq).expect("entry");
             if cancelled {
                 continue;
             }
@@ -345,7 +325,7 @@ impl Model {
                             left: left - 1,
                             child,
                         };
-                        self.arm(t + period, UNKEYED, false, next);
+                        self.arm(t + period, UNKEYED, next);
                     }
                 }
             }
@@ -362,14 +342,7 @@ fn check_against_model(sim: &mut Sim<SimWorld>, world: &SimWorld, model: &Model)
     assert_eq!(sim.pending(), model.live);
     let fired = model.log.iter().filter(|(_, t)| *t < CANCEL_FALSE).count();
     assert_eq!(sim.events_fired() as usize, fired);
-    assert_eq!(
-        sim.peek_next_bound().map(|t| t.as_nanos()),
-        model.next_time(true)
-    );
-    assert_eq!(
-        sim.peek_next().map(|t| t.as_nanos()),
-        model.next_time(false)
-    );
+    assert_eq!(sim.peek_next().map(|t| t.as_nanos()), model.next_time());
 }
 
 fn leaf_ev() -> impl Strategy<Value = Ev> {
@@ -378,14 +351,12 @@ fn leaf_ev() -> impl Strategy<Value = Ev> {
         // About 60% of the mix is zero-delay (same-instant) events.
         (0u64..100).prop_map(|d| d.saturating_sub(60)),
         prop_oneof![Just(None), (0u64..4).prop_map(Some)],
-        (0u8..10).prop_map(|x| x < 3),
         (0u8..10, 0usize..16).prop_map(|(x, i)| (x < 2).then_some(i)),
     )
-        .prop_map(|(tag, delay, key, local, cancel)| Ev {
+        .prop_map(|(tag, delay, key, cancel)| Ev {
             tag: tag as u32,
             delay,
             key,
-            local,
             cancel,
             children: Vec::new(),
         })
@@ -430,11 +401,11 @@ fn drive_op() -> impl Strategy<Value = Drive> {
 }
 
 proptest! {
-    /// A random mix of zero-delay, delayed, keyed, certified-local and
+    /// A random mix of zero-delay, delayed, keyed and
     /// periodic events, with cancels before and during the run and
     /// handlers that arm events at their own instant, fires in exactly the
     /// order of a reference binary heap over `(time, key, seq)`; and
-    /// `peek_next`, `peek_next_bound`, `pending`, `now`, `run_before` and
+    /// `peek_next`, `pending`, `now`, `run_before` and
     /// `run_until` agree with the reference after every driver call.
     #[test]
     fn firing_order_matches_reference_heap(
@@ -469,7 +440,7 @@ proptest! {
                     );
                     world.ids.push(Some(id));
                     let action = Action::Tick { tag, period, left: *ticks, child: child.clone() };
-                    let seq = model.arm(*start, UNKEYED, false, action);
+                    let seq = model.arm(*start, UNKEYED, action);
                     model.ids.push(Some(seq));
                 }
             }
@@ -487,14 +458,14 @@ proptest! {
                 Drive::RunBefore(dt) => {
                     let bound = model.now + dt;
                     sim.run_before(&mut world, SimTime::from_nanos(bound));
-                    while model.next_time(false).is_some_and(|t| t < bound) {
+                    while model.next_time().is_some_and(|t| t < bound) {
                         model.step();
                     }
                 }
                 Drive::RunUntil(dt) => {
                     let deadline = model.now + dt;
                     sim.run_until(&mut world, SimTime::from_nanos(deadline));
-                    while model.next_time(false).is_some_and(|t| t <= deadline) {
+                    while model.next_time().is_some_and(|t| t <= deadline) {
                         model.step();
                     }
                     model.now = model.now.max(deadline);

@@ -10,8 +10,8 @@ use crate::host::{Host, HostId};
 use crate::link::{Dir, LinkDirState, LinkFaults, LinkId, LinkSpec, LinkState};
 use crate::shard::{ShardCtx, ShardMsg, ShardPlan};
 use crate::trace::Tracer;
-use edp_core::{CpNotification, EffectSummary};
-use edp_evsim::{EventClass, Sim, SimDuration, SimRng, SimTime, UNKEYED};
+use edp_core::CpNotification;
+use edp_evsim::{Sim, SimDuration, SimRng, SimTime};
 use edp_packet::{Packet, PacketUid};
 use edp_pisa::PortId;
 use std::collections::{HashMap, VecDeque};
@@ -51,10 +51,6 @@ pub struct Network {
     /// Per-switch stall deadline: a switch with `stalled_until > now`
     /// neither receives, transmits, nor cranks timers until the deadline.
     stalled_until: Vec<SimTime>,
-    /// Per-switch emission certificate (see
-    /// [`install_effect_summary`](Self::install_effect_summary)); `None`
-    /// means no proof — every event stays horizon-bound.
-    effect_summaries: Vec<Option<EffectSummary>>,
     /// Dense per-port table, one [`PortSlot`] per switch port and per
     /// host, indexed through `switch_ports` / `host_port` (see
     /// [`Network::port_index`]).
@@ -92,7 +88,6 @@ impl Network {
             hosts: Vec::new(),
             links: Vec::new(),
             stalled_until: Vec::new(),
-            effect_summaries: Vec::new(),
             ports: Vec::new(),
             switch_ports: Vec::new(),
             host_port: Vec::new(),
@@ -117,51 +112,7 @@ impl Network {
             .resize(self.ports.len() + n_ports, PortSlot::default());
         self.switches.push(sw);
         self.stalled_until.push(SimTime::ZERO);
-        self.effect_summaries.push(None);
         self.switches.len() - 1
-    }
-
-    /// Installs the emission certificate for switch `i`'s program (see
-    /// [`EffectSummary`]). Under [`crate::run_sharded`] with the effects
-    /// horizon (`EDP_HORIZON=effects`), a summary whose timer closure
-    /// cannot emit lets the engine class that switch's timer cranks
-    /// [`EventClass::Local`] — invisible to the safe-horizon negotiation,
-    /// so purely internal bookkeeping (policer refills, sketch decay,
-    /// epoch rotation) no longer forces a barrier per period.
-    ///
-    /// Install the same summary in every shard's build closure (the
-    /// engine is SPMD: all shards must agree on event classes). Without a
-    /// summary every event stays conservatively horizon-bound.
-    pub fn install_effect_summary(&mut self, i: usize, summary: EffectSummary) {
-        self.effect_summaries[i] = Some(summary);
-    }
-
-    /// Event class for switch `i`'s timer cranks: `Local` only when an
-    /// installed summary proves the whole timer cascade (timer handler,
-    /// raised user events, generated packets) emits nothing.
-    fn timer_class(&self, i: usize) -> EventClass {
-        match &self.effect_summaries[i] {
-            Some(s) if s.timer_local() => EventClass::Local,
-            _ => EventClass::Bound,
-        }
-    }
-
-    /// Event class for a delivery to `dest`. Deliveries to hosts that
-    /// never respond ([`crate::host::HostApp::Sink`] and
-    /// [`crate::host::HostApp::ClientFleet`], whose requests are injected
-    /// by a separate — bound — pacer event) are certified local: their
-    /// cascades end at the host's counters. Switch deliveries stay bound:
-    /// the receive path can enqueue and hence transmit.
-    fn delivery_class(&self, dest: Endpoint) -> EventClass {
-        match dest.0 {
-            NodeRef::Host(h) => match self.hosts[h].app {
-                crate::host::HostApp::Sink | crate::host::HostApp::ClientFleet(_) => {
-                    EventClass::Local
-                }
-                _ => EventClass::Bound,
-            },
-            NodeRef::Switch(_) => EventClass::Bound,
-        }
     }
 
     /// Adds a host; returns its id.
@@ -507,13 +458,9 @@ impl Network {
         key: u64,
     ) {
         if self.owns_node(dest.0) {
-            let class = self.delivery_class(dest);
-            sim.schedule_classed_at(
-                at,
-                key,
-                class,
-                move |w: &mut Network, s: &mut Sim<Network>| w.deliver(s, dest, pkt, key),
-            );
+            sim.schedule_keyed_at(at, key, move |w: &mut Network, s: &mut Sim<Network>| {
+                w.deliver(s, dest, pkt, key)
+            });
         } else {
             // Hand the frame to the destination shard at the window
             // close. The in-flight send-time record travels with it so
@@ -541,13 +488,9 @@ impl Network {
         let ShardMsg {
             at, dest, pkt, key, ..
         } = m;
-        let class = self.delivery_class(dest);
-        sim.schedule_classed_at(
-            at,
-            key,
-            class,
-            move |w: &mut Network, s: &mut Sim<Network>| w.deliver(s, dest, pkt, key),
-        );
+        sim.schedule_keyed_at(at, key, move |w: &mut Network, s: &mut Sim<Network>| {
+            w.deliver(s, dest, pkt, key)
+        });
     }
 
     /// Drains the outbound mailbox, tagging each message with its
@@ -638,17 +581,9 @@ impl Network {
             return;
         };
         let due = due.max(sim.now()).max(self.stalled_until[i]);
-        // A crank backed by an emission-free timer certificate is local:
-        // its whole cascade (handler, user events, the re-arm below) stays
-        // inside the switch, so under the effects horizon it never forces
-        // a window barrier.
-        let class = self.timer_class(i);
-        sim.schedule_classed_at(
-            due,
-            UNKEYED,
-            class,
-            move |w: &mut Network, s: &mut Sim<Network>| w.crank_timers(s, i),
-        );
+        sim.schedule_at(due, move |w: &mut Network, s: &mut Sim<Network>| {
+            w.crank_timers(s, i)
+        });
     }
 
     fn crank_timers(&mut self, sim: &mut Sim<Network>, i: usize) {
@@ -656,13 +591,9 @@ impl Network {
         if until > sim.now() {
             // The switch is stalled mid-chain: wait out the stall, then
             // crank (there is exactly one crank chain per switch).
-            let class = self.timer_class(i);
-            sim.schedule_classed_at(
-                until,
-                UNKEYED,
-                class,
-                move |w: &mut Network, s: &mut Sim<Network>| w.crank_timers(s, i),
-            );
+            sim.schedule_at(until, move |w: &mut Network, s: &mut Sim<Network>| {
+                w.crank_timers(s, i)
+            });
             return;
         }
         self.switches[i].fire_due_timers(sim.now());
@@ -853,7 +784,12 @@ impl Network {
 
     /// Sends a control-plane command to switch `i` after `delay`
     /// (modelling the controller↔switch channel latency) and counts the
-    /// message.
+    /// message as sent.
+    ///
+    /// Call from an event every shard fires (the build closure's
+    /// schedule): the count is taken at the send, on the shard that owns
+    /// switch `i`, so a command still in flight at the deadline counts
+    /// the same at every shard count.
     pub fn control_plane_send(
         &mut self,
         sim: &mut Sim<Network>,
@@ -862,17 +798,12 @@ impl Network {
         opcode: u32,
         args: [u64; 4],
     ) {
-        if self.shard.is_none() {
+        if self.owns_node(NodeRef::Switch(i)) {
             self.cp_messages += 1;
         }
         sim.schedule_in(delay, move |w: &mut Network, s: &mut Sim<Network>| {
             if !w.owns_node(NodeRef::Switch(i)) {
                 return;
-            }
-            if w.shard.is_some() {
-                // Counted at delivery under sharding: the send site runs
-                // on every shard, and only the owner may touch counters.
-                w.cp_messages += 1;
             }
             w.switches[i].control_plane(s.now(), opcode, args);
             w.collect_cp(i);

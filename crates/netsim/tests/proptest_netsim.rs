@@ -1,9 +1,9 @@
 //! Property-based tests for the network substrate's conservation and
 //! determinism invariants.
 
-use edp_evsim::{HorizonMode, Sim, SimDuration, SimTime};
+use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
-use edp_netsim::{merge_tracers, run_sharded_opts, Host, HostApp, LinkSpec, Network, NodeRef};
+use edp_netsim::{merge_tracers, run_sharded, Host, HostApp, LinkSpec, Network, NodeRef};
 use edp_packet::PacketBuilder;
 use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
 use proptest::prelude::*;
@@ -124,28 +124,24 @@ proptest! {
         prop_assert_eq!(run(seed), run(seed));
     }
 
-    /// Elision soundness: no publish pattern — bursty, sparse, or
-    /// degenerate — may let a rendezvous-elided round (or the lock-free
-    /// effects frontier) hide a published message. Any hidden message
-    /// would change the merged schedule against the single-shard
-    /// reference, or trip the EDP-E007 publish assert inside an elided
-    /// span; both fail the property.
+    /// Frontier soundness: no publish pattern — bursty, sparse, or
+    /// degenerate — may let the lock-free frontier session hide a
+    /// published message. Any hidden message would change the merged
+    /// schedule against the single-shard reference, or trip the frontier
+    /// promise assert in the publisher; both fail the property.
     #[test]
-    fn no_publish_pattern_hides_a_message_from_an_elided_round(
+    fn no_publish_pattern_hides_a_message_from_the_frontier_session(
         count in 1u64..40,
         interval_us in 1u64..40,
-        subwindows in 1usize..64,
-        effects in any::<bool>(),
+        switches in 2usize..6,
+        shards in prop_oneof![Just(2usize), Just(4usize)],
     ) {
-        let mode = if effects { HorizonMode::Effects } else { HorizonMode::Classic };
-        let run = |shards: usize, subwindows: usize, mode: HorizonMode| {
-            let (nets, _) = run_sharded_opts(
+        let run = |shards: usize| {
+            let (nets, _) = run_sharded(
                 shards,
-                subwindows,
-                mode,
                 SimTime::from_millis(3),
                 |_me| {
-                    let (mut net, h1, _h2) = line(2, 0.0, 5);
+                    let (mut net, h1, _h2) = line(switches, 0.0, 5);
                     net.tracer.enabled = true;
                     let mut sim: Sim<Network> = Sim::new();
                     start_cbr(
@@ -169,9 +165,9 @@ proptest! {
             let tracers: Vec<&edp_netsim::Tracer> = nets.iter().map(|n| &n.tracer).collect();
             (rx, merge_tracers(&tracers))
         };
-        let (rx_ref, trace_ref) = run(1, 1, HorizonMode::Classic);
+        let (rx_ref, trace_ref) = run(1);
         prop_assert_eq!(rx_ref, count);
-        let (rx, trace) = run(2, subwindows, mode);
+        let (rx, trace) = run(shards);
         prop_assert_eq!(rx, rx_ref);
         prop_assert_eq!(trace, trace_ref);
     }

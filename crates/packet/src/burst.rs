@@ -4,8 +4,8 @@
 //! simulated instant and are pushed through the pipeline as one unit. The
 //! point is amortization, never reordering: every consumer of a burst is
 //! required to produce the byte-identical observable outcome of processing
-//! the frames one at a time, so the burst size (`EDP_BURST`) is a pure
-//! execution-strategy knob.
+//! the frames one at a time, so the burst size is a pure
+//! execution-strategy choice of the caller.
 //!
 //! [`Burst::parse`] performs the array-of-packets parse: one pass over the
 //! frames producing each packet's [`ParsedPacket`] and flow hash up front,

@@ -42,13 +42,12 @@
 //! # Flow marks
 //!
 //! Cross-shard mailbox batches are recorded on both sides:
-//! [`flow_send`] on the publisher, [`flow_recv`] on the acceptor. The
-//! pair is matched by `(barrier_seq, src, dst)` — [`rendezvous`]
-//! advances `barrier_seq` in lockstep on every shard (each rendezvous
-//! is a full-group barrier), a batch is published immediately *before*
-//! one barrier and accepted immediately *after* it, so the sender tags
-//! the upcoming barrier (`seq + 1`) and the receiver the one it just
-//! crossed (`seq`). [`to_trace_json`] turns matched pairs into Chrome
+//! [`flow_send`] on the publisher, [`flow_recv`] on the acceptor. Both
+//! sides tag a mark with the pair's cumulative message count through
+//! that batch: a mailbox drain takes every batch appended so far, so a
+//! receive's count equals the count of the last send it drained, and
+//! `(through, src, dst)` matches the pair with no shared clock or
+//! barrier. [`to_trace_json`] turns matched pairs into Chrome
 //! trace-event flow arrows between shard tracks.
 
 use std::cell::{Cell, RefCell};
@@ -71,22 +70,24 @@ pub enum Phase {
     Setup = 0,
     /// Event execution: `Sim::run_before` / `run_until` firing handlers.
     Execute = 1,
-    /// Window negotiation: publishing the local frontier and waiting for
-    /// the global minimum (both rendezvous of `WindowSync::negotiate`).
+    /// Negotiation: publishing the local earliest event and waiting for
+    /// the global minimum (both rendezvous of `WindowSync::negotiate`),
+    /// at the opening and the close of a sharded run.
     Negotiate = 2,
     /// Mailbox exchange work: draining inbound mailboxes into the
     /// schedule and staging/publishing outbound batches.
     Mailbox = 3,
-    /// Blocked at an exchange / vote / horizon barrier waiting for
-    /// peer shards.
+    /// Stalled waiting for a peer shard: the frontier session's
+    /// spin / yield / sleep backoff while no peer frontier has moved.
     Barrier = 4,
-    /// Horizon extension: continuing a window past a sub-barrier
-    /// (mid-window accepts and the next-horizon bookkeeping).
+    /// Horizon extension between sub-windows. The frontier session has
+    /// no sub-windows, so nothing laps this phase; it stays so every
+    /// `phase_ns` index keeps its meaning.
     Extend = 5,
-    /// Rendezvous elision: the bookkeeping of sub-steps that advance
-    /// without a barrier — bound-floor checks, frontier publication,
-    /// and seq-counter polling on the lock-free exchange path.
-    Elide = 6,
+    /// Frontier polling: the frontier session's loop bookkeeping —
+    /// reading peer frontiers and the traffic counter, raising this
+    /// shard's frontier, and the termination check.
+    Poll = 6,
     /// Teardown after the window loop: metric publication, session
     /// collection, and the tail up to `disable`.
     Finish = 7,
@@ -101,7 +102,7 @@ impl Phase {
         Phase::Mailbox,
         Phase::Barrier,
         Phase::Extend,
-        Phase::Elide,
+        Phase::Poll,
         Phase::Finish,
     ];
 
@@ -120,7 +121,7 @@ impl Phase {
             Phase::Mailbox => "mailbox",
             Phase::Barrier => "barrier",
             Phase::Extend => "extend",
-            Phase::Elide => "elide",
+            Phase::Poll => "poll",
             Phase::Finish => "finish",
         }
     }
@@ -158,15 +159,16 @@ pub struct WindowSample {
 
 /// One side of a cross-shard mailbox batch: `peer` is the destination
 /// shard on the sending side and the source shard on the receiving
-/// side; `seq` is the rendezvous the batch crossed at.
+/// side; `through` matches the two sides (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowMark {
     /// Nanoseconds since the run epoch at which the mark was recorded.
     pub at_ns: u64,
     /// The other shard of the exchange.
     pub peer: u32,
-    /// Barrier sequence number the batch crossed at (see module docs).
-    pub seq: u64,
+    /// Messages sent on this `(src, dst)` pair up to and including this
+    /// batch.
+    pub through: u64,
     /// Messages in the batch.
     pub count: u64,
 }
@@ -261,7 +263,8 @@ struct ProfState {
     flows_in: Vec<FlowMark>,
     flows_dropped: u64,
     msgs_to: Vec<u64>,
-    seq: u64,
+    /// Cross-shard messages received, by source shard (cumulative).
+    msgs_from: Vec<u64>,
 }
 
 impl ProfState {
@@ -342,7 +345,7 @@ pub fn enable_with(epoch: Instant, shard: usize, shards: usize, config: ProfConf
             flows_in: Vec::new(),
             flows_dropped: 0,
             msgs_to: vec![0; shards.max(1)],
-            seq: 0,
+            msgs_from: vec![0; shards.max(1)],
         })
     });
     PROF_ON.with(|c| {
@@ -436,24 +439,8 @@ pub fn window_end() {
     });
 }
 
-/// Advances the barrier sequence by `n` (call wherever the drive loop
-/// counts rendezvous, with the same `n`, so every shard's sequence
-/// stays in lockstep). No-op when disabled.
-#[inline]
-pub fn rendezvous(n: u64) {
-    if !on() {
-        return;
-    }
-    PROF.with(|s| {
-        if let Some(st) = s.borrow_mut().as_mut() {
-            st.seq += n;
-        }
-    });
-}
-
 /// Records an outbound mailbox batch of `count` messages to shard
-/// `dst`, tagged with the *upcoming* rendezvous (the one that will
-/// publish it). Also feeds the exact message matrix.
+/// `dst`. Also feeds the exact message matrix.
 #[inline]
 pub fn flow_send(dst: usize, count: u64) {
     if !on() {
@@ -461,13 +448,15 @@ pub fn flow_send(dst: usize, count: u64) {
     }
     PROF.with(|s| {
         if let Some(st) = s.borrow_mut().as_mut() {
-            if let Some(slot) = st.msgs_to.get_mut(dst) {
-                *slot += count;
-            }
+            let Some(sent) = st.msgs_to.get_mut(dst) else {
+                return;
+            };
+            *sent += count;
+            let through = *sent;
             let mark = FlowMark {
                 at_ns: st.now_ns(),
                 peer: dst as u32,
-                seq: st.seq + 1,
+                through,
                 count,
             };
             if st.flows_out.len() < st.config.flow_capacity {
@@ -480,7 +469,7 @@ pub fn flow_send(dst: usize, count: u64) {
 }
 
 /// Records an inbound mailbox batch of `count` messages from shard
-/// `src`, tagged with the rendezvous just crossed.
+/// `src`.
 #[inline]
 pub fn flow_recv(src: usize, count: u64) {
     if !on() {
@@ -488,10 +477,15 @@ pub fn flow_recv(src: usize, count: u64) {
     }
     PROF.with(|s| {
         if let Some(st) = s.borrow_mut().as_mut() {
+            let Some(received) = st.msgs_from.get_mut(src) else {
+                return;
+            };
+            *received += count;
+            let through = *received;
             let mark = FlowMark {
                 at_ns: st.now_ns(),
                 peer: src as u32,
-                seq: st.seq,
+                through,
                 count,
             };
             if st.flows_in.len() < st.config.flow_capacity {
@@ -651,7 +645,7 @@ pub fn render_table(points: &[&[Profile]]) -> String {
     );
     let _ = writeln!(
         out,
-        "  shard     wall ms   attr%  setup%   exec%  negot%  mailbx%  barrier%  extend%  elide%  finish%"
+        "  shard     wall ms   attr%  setup%   exec%  negot%  mailbx%  barrier%  extend%   poll%  finish%"
     );
     let mut grand = ShardAgg::default();
     for a in &aggs {
@@ -672,7 +666,7 @@ pub fn render_table(points: &[&[Profile]]) -> String {
             pct(a.phase_ns[Phase::Mailbox.index()], attr),
             pct(a.phase_ns[Phase::Barrier.index()], attr),
             pct(a.phase_ns[Phase::Extend.index()], attr),
-            pct(a.phase_ns[Phase::Elide.index()], attr),
+            pct(a.phase_ns[Phase::Poll.index()], attr),
             pct(a.phase_ns[Phase::Finish.index()], attr),
         );
     }
@@ -792,23 +786,23 @@ pub fn to_trace_json(points: &[(String, &[Profile])]) -> String {
                 ));
             }
         }
-        // Flow arrows: match send/recv marks by (seq, src, dst).
+        // Flow arrows: match send/recv marks by (through, src, dst).
         let mut sends: std::collections::HashMap<(u64, u32, u32), (u64, u64)> =
             std::collections::HashMap::new();
         for p in profiles.iter() {
             for f in &p.flows_out {
-                sends.insert((f.seq, p.shard as u32, f.peer), (f.at_ns, f.count));
+                sends.insert((f.through, p.shard as u32, f.peer), (f.at_ns, f.count));
             }
         }
         let shards = shard_count(&[profiles]) as u64;
         for p in profiles.iter() {
             for f in &p.flows_in {
-                let key = (f.seq, f.peer, p.shard as u32);
+                let key = (f.through, f.peer, p.shard as u32);
                 let Some(&(sent_at, count)) = sends.get(&key) else {
                     continue;
                 };
                 let id = ((pid as u64) << 48)
-                    | ((f.seq * shards + f.peer as u64) * shards + p.shard as u64);
+                    | ((f.through * shards + f.peer as u64) * shards + p.shard as u64);
                 events.push((
                     pid,
                     f.peer as usize,
@@ -872,7 +866,6 @@ mod tests {
         lap(Phase::Execute);
         window_begin();
         window_end();
-        rendezvous(2);
         flow_send(0, 5);
         flow_recv(0, 5);
         assert!(!on());
@@ -1064,13 +1057,13 @@ mod tests {
         a.flows_out.push(FlowMark {
             at_ns: 90,
             peer: 1,
-            seq: 3,
+            through: 7,
             count: 7,
         });
         b.flows_in.push(FlowMark {
             at_ns: 130,
             peer: 0,
-            seq: 3,
+            through: 7,
             count: 7,
         });
         // An unmatched recv (sender side evicted) must be skipped, not
@@ -1078,7 +1071,7 @@ mod tests {
         b.flows_in.push(FlowMark {
             at_ns: 140,
             peer: 0,
-            seq: 9,
+            through: 9,
             count: 1,
         });
         let point = vec![a, b];
@@ -1115,16 +1108,19 @@ mod tests {
     }
 
     #[test]
-    fn flow_marks_tag_the_carrying_rendezvous() {
+    fn flow_marks_tag_the_pair_cumulative_count() {
         enable(Instant::now(), 0, 2);
-        rendezvous(2); // a negotiation
-        flow_send(1, 4); // published before barrier 3
-        rendezvous(1); // the exchange that carries it
-        flow_recv(1, 2); // accepted right after barrier 3
+        flow_send(1, 4);
+        flow_send(1, 3);
+        // One drain takes both batches: it matches the second send.
+        flow_recv(1, 7);
         let p = disable().expect("session");
-        assert_eq!(p.flows_out[0].seq, 3);
-        assert_eq!(p.flows_in[0].seq, 3);
-        assert_eq!(p.msgs_to[1], 4);
+        let through = |marks: &[FlowMark]| marks.iter().map(|f| f.through).collect::<Vec<_>>();
+        assert_eq!(through(&p.flows_out), [4, 7]);
+        assert_eq!(through(&p.flows_in), [7]);
+        assert_eq!(Phase::Poll.label(), "poll");
+        assert_eq!(Phase::ALL[Phase::Poll.index()], Phase::Poll);
+        assert_eq!(p.msgs_to[1], 7);
         assert_eq!(p.msgs_to[0], 0);
     }
 }

@@ -4,19 +4,17 @@
 #   scripts/ci.sh               # full local gate (everything below)
 #   scripts/ci.sh --quick       # fmt, build, test, edp_lint, telemetry smoke
 #   scripts/ci.sh --matrix-leg  # build + tier-1 tests under the ambient
-#                               # EDP_SHARDS / EDP_BURST / EDP_HORIZON
-#                               # (one CI matrix leg)
+#                               # EDP_SHARDS (one CI matrix leg)
 #   scripts/ci.sh --gate        # fmt, clippy, edp_lint (+ SARIF artifact),
 #                               # profiled-run smoke (+ trace artifact),
-#                               # EDP_HORIZON=effects elision smoke,
-#                               # pcap fixture round-trip, replay smoke,
-#                               # perfbench outcome smoke, bench gate
+#                               # shard smoke, pcap fixture round-trip,
+#                               # replay smoke, perfbench outcome smoke,
+#                               # bench gate
 #
-# The CI pipeline fans the engine matrix {EDP_SHARDS=1,4} x {EDP_BURST=1,32}
-# plus an EDP_HORIZON=effects leg (shards=4, burst=32) across
+# The CI pipeline fans the engine matrix EDP_SHARDS in {1, 4} across
 # `--matrix-leg` jobs and runs `--gate` once beside them; the default
-# (no-flag) mode runs the union locally, emulating the matrix with
-# in-process EDP_SHARDS=4 / EDP_BURST=32 / EDP_HORIZON=effects re-runs.
+# (no-flag) mode runs the union locally, emulating the matrix with an
+# in-process EDP_SHARDS=4 re-run.
 #
 # The workspace vendors all third-party crates (see vendor/), so the
 # whole gate runs with the cargo registry unreachable.
@@ -57,7 +55,7 @@ step_build() {
 }
 
 step_test() {
-    echo "==> cargo test (EDP_SHARDS=${EDP_SHARDS:-unset} EDP_BURST=${EDP_BURST:-unset} EDP_HORIZON=${EDP_HORIZON:-unset})"
+    echo "==> cargo test (EDP_SHARDS=${EDP_SHARDS:-unset})"
     cargo test --offline -q
 }
 
@@ -193,34 +191,24 @@ step_engine_matrix_local() {
     # byte-identity with the classic path is asserted by the tests
     # themselves (top_determinism, integration_shards).
     EDP_SHARDS=4 cargo test --offline -q
-
-    echo "==> cargo test (EDP_BURST=32: tier-1 on the burst fast path)"
-    # Everything that consults EDP_BURST (TopOptions' default and the
-    # sharded engine's sub-window count) reruns with 32-deep bursts;
-    # byte-identity with the per-packet path is asserted by the tests
-    # themselves (top_determinism, integration_shards).
-    EDP_BURST=32 cargo test --offline -q
-
-    echo "==> cargo test (EDP_HORIZON=effects: certificate-aware horizon)"
-    # The sharded engine loads per-app effect summaries and extends
-    # safe_horizon past certified-local event runs; the determinism
-    # suites assert the merged schedule stays byte-identical to classic.
-    EDP_HORIZON=effects EDP_SHARDS=4 EDP_BURST=32 cargo test --offline -q
 }
 
-step_elision_smoke() {
-    echo "==> EDP_HORIZON=effects elision smoke (barrier elision end-to-end)"
-    # Runs the barrier-elision suites (traffic-free gaps must cut
-    # DriveStats.barriers >=10x with a byte-identical merged schedule;
-    # the frontier session must stay rendezvous-free) and then drives a
-    # registered app through the 2-shard engine under the effects
-    # horizon, checking the JSON report is non-degenerate.
-    EDP_HORIZON=effects cargo test --offline --release -q -p edp-netsim barriers
+step_shard_smoke() {
+    echo "==> shard smoke (partition + frontier session end-to-end)"
+    # Runs the netsim shard suite in release (block placement, the
+    # frontier session's barrier count, byte-identity against one
+    # shard) and then drives a registered app through the 2-shard
+    # engine, checking the JSON report is non-degenerate.
+    cargo test --offline --release -q -p edp-netsim shard
     local out
-    out="$(EDP_HORIZON=effects cargo run --offline --release -q -p edp-bench --bin edp_top -- \
+    out="$(cargo run --offline --release -q -p edp-bench --bin edp_top -- \
         microburst --shards 2 --seeds 1 --duration-ms 2 --json)"
     echo "$out" | grep -q '"app":"microburst"' || {
-        echo "effects elision smoke: degenerate edp_top output under EDP_HORIZON=effects" >&2
+        echo "shard smoke: no app field in the 2-shard edp_top report" >&2
+        exit 1
+    }
+    echo "$out" | grep -q '"name":"events_ingress","scope":"sw0","value":[1-9]' || {
+        echo "shard smoke: no ingress events in the 2-shard edp_top report" >&2
         exit 1
     }
 }
@@ -235,7 +223,7 @@ step_perfbench_smoke() {
     # gates on correctness only, never on timings.
     local trace line
     for trace in 0 1; do
-        line="$(env -u EDP_SHARDS -u EDP_BURST -u EDP_HORIZON -u EDP_SWEEP_THREADS \
+        line="$(env -u EDP_SHARDS -u EDP_SWEEP_THREADS \
             python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace "$trace" | tail -n 1)"
         python3 -c '
 import json, sys
@@ -276,8 +264,8 @@ quick)
     ;;
 matrix-leg)
     # One leg of the CI engine matrix: the workflow exports EDP_SHARDS
-    # and EDP_BURST before calling this, so the whole tier-1 suite runs
-    # natively on that engine configuration.
+    # before calling this, so the whole tier-1 suite runs natively on
+    # that engine configuration.
     step_build
     step_test
     ;;
@@ -292,7 +280,7 @@ gate)
     step_lint_sarif
     step_top_smoke
     step_profile_smoke
-    step_elision_smoke
+    step_shard_smoke
     step_pcap
     step_perfbench_smoke
     step_bench_gate
@@ -304,7 +292,7 @@ full)
     step_lint
     step_top_smoke
     step_profile_smoke
-    step_elision_smoke
+    step_shard_smoke
     step_pcap
     step_engine_matrix_local
     step_clippy

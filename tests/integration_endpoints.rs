@@ -3,11 +3,11 @@
 //! heavy loss makes endpoints give up, reorder past the timeout produces
 //! spurious retransmits whose stale responses are ignored — and every
 //! one of those outcomes is byte-identical between the classic engine
-//! and `run_sharded_opts` at 2/4 shards crossed with burst 1/32.
+//! and `run_sharded` at 2/4 shards.
 
-use edp_evsim::{HorizonMode, Sim, SimDuration, SimTime};
+use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::{
-    run_sharded_opts, start_endpoints, EndpointConfig, EndpointFleet, FaultPlan, FleetStats, Host,
+    run_sharded, start_endpoints, EndpointConfig, EndpointFleet, FaultPlan, FleetStats, Host,
     HostApp, LinkFaultModel, LinkSpec, Network, NodeRef,
 };
 use std::net::Ipv4Addr;
@@ -36,7 +36,7 @@ fn cfg(seed: u64) -> EndpointConfig {
 
 /// Fleet host (id 0) — server host (id 1), direct 10G wire, optional
 /// impairment model on the wire, pacer armed. The same closure body
-/// serves as the `run_sharded_opts` build function.
+/// serves as the `run_sharded` build function.
 fn build(seed: u64, model: Option<LinkFaultModel>) -> (Network, Sim<Network>) {
     let mut net = Network::new(seed);
     let fleet = EndpointFleet::new(a(1), cfg(seed));
@@ -95,16 +95,9 @@ fn run_classic(seed: u64, model: Option<LinkFaultModel>) -> (FleetStats, u64) {
     )
 }
 
-fn run_sharded(
-    seed: u64,
-    model: Option<LinkFaultModel>,
-    shards: usize,
-    burst: usize,
-) -> (FleetStats, u64) {
-    let (results, _) = run_sharded_opts(
+fn run_shards(seed: u64, model: Option<LinkFaultModel>, shards: usize) -> (FleetStats, u64) {
+    let (results, _) = run_sharded(
         shards,
-        burst,
-        HorizonMode::Classic,
         DEADLINE,
         |_shard| build(seed, model),
         |_shard, net, _sim| harvest(&net),
@@ -189,13 +182,8 @@ fn stats_identical_classic_vs_sharded_under_faults() {
             classic.0
         );
         for shards in [2usize, 4] {
-            for burst in [1usize, 32] {
-                let sharded = run_sharded(seed, Some(model), shards, burst);
-                assert_eq!(
-                    classic, sharded,
-                    "seed {seed}: {shards} shards x burst {burst} diverged"
-                );
-            }
+            let sharded = run_shards(seed, Some(model), shards);
+            assert_eq!(classic, sharded, "seed {seed}: {shards} shards diverged");
         }
     }
 }

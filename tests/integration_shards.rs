@@ -12,10 +12,10 @@ use edp_apps::common::{addr, run_until};
 use edp_apps::frr::{FrrBaseline, FrrEvent, CP_OP_SET_ROUTE};
 use edp_apps::liveness::{LivenessMonitor, LivenessReflector, Neighbor, TIMER_CHECK, TIMER_PROBE};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-use edp_evsim::{HorizonMode, Sim, SimDuration, SimTime};
+use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::{
-    merge_tracers, run_sharded_opts, Dir, FaultPlan, Host, HostApp, LinkFaultModel, LinkSpec,
-    Network, NodeRef, Tracer,
+    merge_tracers, run_sharded, Dir, FaultPlan, Host, HostApp, LinkFaultModel, LinkSpec, Network,
+    NodeRef, Tracer,
 };
 use edp_packet::PacketBuilder;
 use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
@@ -33,31 +33,7 @@ fn run_shards<B>(shards: usize, deadline: SimTime, build: B) -> (Vec<Network>, S
 where
     B: Fn() -> (Network, Sim<Network>) + Sync,
 {
-    run_shards_at(shards, 1, HorizonMode::Classic, deadline, build)
-}
-
-/// Same, at an explicit burst factor (sub-windows per negotiated
-/// window) and horizon mode. Passed explicitly rather than via
-/// `EDP_BURST`/`EDP_HORIZON` so parallel tests never race on
-/// process-global env state.
-fn run_shards_at<B>(
-    shards: usize,
-    burst: usize,
-    mode: HorizonMode,
-    deadline: SimTime,
-    build: B,
-) -> (Vec<Network>, String, String)
-where
-    B: Fn() -> (Network, Sim<Network>) + Sync,
-{
-    let (nets, _stats) = run_sharded_opts(
-        shards,
-        burst,
-        mode,
-        deadline,
-        |_s| build(),
-        |_s, net, _sim| net,
-    );
+    let (nets, _stats) = run_sharded(shards, deadline, |_s| build(), |_s, net, _sim| net);
     let tracers: Vec<&Tracer> = nets.iter().map(|n| &n.tracer).collect();
     let trace = merge_tracers(&tracers);
     // One registry per shard, merged: `publish_metrics` *sets* net-scope
@@ -109,30 +85,14 @@ where
         "tracer ring evicted; scenario too big for invariance checks"
     );
     for shards in SHARD_COUNTS {
-        // Burst 1 is the legacy one-negotiation-per-window protocol;
-        // burst 32 exercises the sub-window fast path; the effects
-        // horizon exercises the certificate-extended windows. Every
-        // scenario family must be invariant under all three.
-        for (burst, mode) in [
-            (1usize, HorizonMode::Classic),
-            (32, HorizonMode::Classic),
-            (32, HorizonMode::Effects),
-        ] {
-            let (many, trace, json) = run_shards_at(shards, burst, mode, deadline, &build);
-            assert_eq!(
-                observe(&many),
-                classic_obs,
-                "{shards}-shard burst-{burst} {mode:?} observables diverged"
-            );
-            assert_eq!(
-                one_trace, trace,
-                "{shards}-shard burst-{burst} {mode:?} merged trace diverged"
-            );
-            assert_eq!(
-                one_json, json,
-                "{shards}-shard burst-{burst} {mode:?} metrics JSON diverged"
-            );
-        }
+        let (many, trace, json) = run_shards(shards, deadline, &build);
+        assert_eq!(
+            observe(&many),
+            classic_obs,
+            "{shards}-shard observables diverged"
+        );
+        assert_eq!(one_trace, trace, "{shards}-shard merged trace diverged");
+        assert_eq!(one_json, json, "{shards}-shard metrics JSON diverged");
     }
     one
 }
@@ -737,10 +697,8 @@ where
 {
     use edp_telemetry::prof;
     let epoch = std::time::Instant::now();
-    let (pairs, _stats) = run_sharded_opts(
+    let (pairs, _stats) = run_sharded(
         shards,
-        1,
-        HorizonMode::Classic,
         deadline,
         |s| {
             prof::enable(epoch, s, shards);
@@ -802,4 +760,54 @@ fn profiling_is_outside_the_determinism_boundary() {
         crossed > 0,
         "the cut trunk must populate the message matrix"
     );
+    // Every drain matches the last send it took, so the export draws
+    // cross-shard flow arrows even though no barrier separates them.
+    let json = prof::to_trace_json(&[("line".to_string(), &profiles[..])]);
+    assert!(json.contains("\"ph\":\"s\""), "no flow arrow exported");
+    assert_eq!(
+        json.matches("\"ph\":\"s\"").count(),
+        json.matches("\"ph\":\"f\"").count()
+    );
+}
+
+/// Block placement on the 8-switch line: at 2 shards one trunk is cut,
+/// so every delivered packet crosses a mailbox exactly once.
+#[test]
+fn two_shard_eight_switch_line_crosses_once_per_packet() {
+    const SWITCHES: usize = 8;
+    const N: u64 = 500;
+    let (delivered, stats) = run_sharded(
+        2,
+        SimTime::from_millis(10),
+        |_s| {
+            let mut net = Network::new(9);
+            for _ in 0..SWITCHES {
+                net.add_switch(Box::new(BaselineSwitch::new(
+                    ForwardTo(1),
+                    2,
+                    QueueConfig::default(),
+                )));
+            }
+            let h0 = net.add_host(Host::new(addr(1), HostApp::Sink));
+            let h1 = net.add_host(Host::new(addr(2), HostApp::Sink));
+            let edge = LinkSpec::ten_gig(SimDuration::from_micros(1));
+            let trunk = LinkSpec::ten_gig(SimDuration::from_micros(2));
+            net.connect((NodeRef::Host(h0), 0), (NodeRef::Switch(0), 0), edge);
+            for i in 1..SWITCHES {
+                net.connect((NodeRef::Switch(i - 1), 1), (NodeRef::Switch(i), 0), trunk);
+            }
+            net.connect(
+                (NodeRef::Switch(SWITCHES - 1), 1),
+                (NodeRef::Host(h1), 0),
+                edge,
+            );
+            let mut sim: Sim<Network> = Sim::new();
+            line_cbr(&mut sim, h0, N, 256);
+            (net, sim)
+        },
+        |_s, net, _sim| net.hosts[1].stats.rx_pkts,
+    );
+    assert_eq!(delivered.iter().sum::<u64>(), N);
+    assert_eq!(stats.cross_messages, N, "one crossing per delivered packet");
+    assert_eq!((stats.windows, stats.barriers), (1, 4));
 }
